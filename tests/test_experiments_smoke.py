@@ -5,12 +5,17 @@ FigureResults, the CLI drives them, markdown renders); the *scientific*
 shape checks are exercised at bench/default scale by the benchmarks and the
 EXPERIMENTS.md generation, because several shapes need more tasks per core
 than the smoke scale provides.
+
+Some runners also pin their exact series against ``tests/golden/`` (see
+``tests/_golden.py``), so a refactor that moves any reproduced value fails
+here even when every shape check still passes.
 """
 
 import pytest
 
 from repro.experiments import cli
 from repro.experiments.config import get_scale
+from tests._golden import assert_golden
 
 SMOKE = get_scale("smoke")
 
@@ -81,6 +86,19 @@ class TestFigureRunnersSmoke:
                 s for s in series_list if s.label == "pending-Q accesses"
             )
             assert all(y > 0 for _, y in accesses.points)
+        assert_golden(fig, "fig9")
+
+    @pytest.mark.slow
+    def test_fig10_series_pinned(self):
+        from repro.experiments import fig10_pending_queue_phi as exp
+
+        assert_golden(exp.run(SMOKE), "fig10")
+
+    def test_ablations_series_pinned(self):
+        # Sweeps every registered scheduler, qos and rt-edf included.
+        from repro.experiments import ablations as exp
+
+        assert_golden(exp.run(SMOKE), "ablations")
 
     def test_selection_outcomes_attached(self):
         from repro.experiments import selection_experiment as exp
@@ -208,6 +226,7 @@ class TestFigOSmoke:
         assert "conservation violations" in labels
         goodput = {s.label for s in fig.panels["A admission: goodput"]}
         assert goodput == set(exp.POLICIES)
+        assert_golden(fig, "figO")
 
 
 class TestFigQSmoke:
@@ -233,6 +252,7 @@ class TestFigQSmoke:
         assert tenants == {"web", "api", "etl"}
         ablation = {s.label for s in fig.panels["C scheduler ablation at 4x"]}
         assert "web p99 (us)" in ablation
+        assert_golden(fig, "figQ")
 
 
 class TestFigESmoke:
@@ -269,6 +289,7 @@ class TestFigESmoke:
             "max blocked (ns)",
             "ctrl deadline misses",
         }
+        assert_golden(fig, "figE")
 
 
 class TestFigHSmoke:
