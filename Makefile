@@ -3,7 +3,7 @@
 # Every target works from a clean checkout: PYTHONPATH=src puts the package
 # on the path without requiring `make install` first.
 
-.PHONY: check install test test-fast lint fuzz bench experiments experiments-report clean
+.PHONY: check install test test-fast lint fuzz bench perf-check experiments experiments-report clean
 
 # Default flow: static analysis over shipped workloads, then the test suite.
 check: lint test
@@ -31,6 +31,13 @@ fuzz:
 
 bench:
 	PYTHONPATH=src pytest benchmarks/ --benchmark-only
+
+# The repository benchmark's own tests (benchmarks/perf/test_perf.py): the
+# cheapest cell of each workload against its expected.json pin, plus the
+# compare rule and layer bucketing.  `make bench` skips them (it runs
+# benchmark fixtures only), so they get their own target.
+perf-check:
+	PYTHONPATH=src pytest benchmarks/perf -q
 
 experiments:
 	PYTHONPATH=src python -m repro.experiments.cli all --scale bench --no-plots

@@ -1,94 +1,43 @@
-"""Clutch-style QoS bucket scheduler.
+"""Clutch-style QoS bucket scheduler: the ``qos`` preset.
 
-Apple's Clutch scheduler (see SNIPPETS.md section 3) selects work in three
-phases: a *root-bucket* phase picking the QoS tier to serve next (EDF over
-per-tier deadlines, with *warp* — a temporary deadline boost a tier earns
-when it wakes up — and starvation avoidance for tiers EDF keeps passing
-over), then a bucket phase, then a thread phase.  This module maps that
-design onto the repo's scheduler protocol:
+The root-bucket phase (EDF over bucket deadlines, warp on wakeup,
+starvation avoidance) and the Fig. 1 thread phase live in
+:class:`~repro.schedulers.buckets.DeadlineBucketScheduler`; this preset
+supplies only validation and routing:
 
-- one **bucket** per :class:`~repro.qos.classes.QosClass`, holding one
-  :class:`~repro.schedulers.queues.DualQueue` per worker;
-- the **root-bucket phase** is EDF over bucket deadlines, where a bucket's
-  deadline is the earliest queued arrival plus the class's latency target
-  — no clock access needed, so selection stays a pure function of queue
-  contents and is bit-reproducible across executors;
-- **warp**: work arriving into an *empty* bucket arms ``warp_dispatches``
-  selections during which the bucket's deadline is advanced by the class's
-  ``warp_ns`` — a freshly woken tier jumps the line briefly, which is what
-  keeps interactive wakeup latency flat under load;
-- **starvation avoidance**: a non-empty bucket passed over ``limit``
-  consecutive times is served next regardless of deadlines, where
-  ``limit = max(1, starvation_limit // weight)`` — heavier classes tolerate
-  fewer skips.  This is why batch work still progresses while higher tiers
-  saturate the machine (asserted by figQ);
-- the **thread phase** inside the chosen bucket follows the paper's Fig. 1
-  order: own pending, own staged (converted through the pending queue so
-  the Fig. 9/10 conversion traffic registers), then staged-before-pending
-  steals from the same NUMA domain, then remote domains.
+- one bucket per :class:`~repro.qos.classes.QosClass`, built up front in
+  class-list order (which is the final tie-break), whose deadline is the
+  earliest queued arrival plus the class's ``latency_target_ns`` — the
+  target is constant per bucket, so the earliest head also has the
+  earliest deadline;
+- the bucket's rank and warp are the class's ``rank`` and ``warp_ns``;
+  work arriving into an empty bucket arms ``warp_dispatches`` selections
+  of warp, which is what keeps interactive wakeup latency flat under load;
+- the bucket's starvation limit is ``max(1, starvation_limit // weight)``
+  — heavier classes tolerate fewer skips.  This is why batch work still
+  progresses while higher tiers saturate the machine (asserted by figQ).
 
-Tasks without a :class:`QosClass` are routed by their queue priority via
-:func:`~repro.qos.classes.class_for_priority`, so any existing workload
-runs under ``scheduler="qos"`` unmodified — the property the differential
-fuzzer leans on.
+Tasks whose ``Task.qos`` tag names no configured class — unclassed tasks,
+classes from another configuration, or foreign tags such as the real-time
+layer's :class:`~repro.rt.scheduler.RtTag` — are routed by their queue
+priority via :func:`~repro.qos.classes.class_for_priority`, so any existing
+workload runs under ``scheduler="qos"`` unmodified — the property the
+differential fuzzer leans on.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.qos.classes import QosClass, class_for_priority, default_classes
 from repro.runtime.task import Task
-from repro.schedulers.base import FoundWork, SchedulingPolicy, WorkSource
+from repro.schedulers.buckets import DeadlineBucket, DeadlineBucketScheduler
 from repro.schedulers.queues import DualQueue
 
-__all__ = ["QosBucketScheduler", "ROOT_CONTENTION_NS_PER_WORKER"]
-
-#: per-dispatch cost of the shared root-bucket structure: every worker's
-#: find_work reads (and the winner updates) the same EDF state, which is a
-#: real synchronization point per-worker queues do not have
-ROOT_CONTENTION_NS_PER_WORKER = 12
+__all__ = ["QosBucketScheduler"]
 
 
-class _Bucket:
-    """Per-class scheduler state: queues plus warp/starvation bookkeeping."""
-
-    __slots__ = ("qos", "queues", "warp_remaining", "skipped", "starvation_limit")
-
-    def __init__(self, qos: QosClass, num_workers: int, starvation_limit: int):
-        self.qos = qos
-        self.queues = [DualQueue() for _ in range(num_workers)]
-        self.warp_remaining = 0
-        self.skipped = 0
-        self.starvation_limit = max(1, starvation_limit // qos.weight)
-
-    def hot_depth(self) -> int:
-        return sum(q.pending_len + q.staged_len for q in self.queues)
-
-    def has_work(self) -> bool:
-        return any(not q.is_empty for q in self.queues)
-
-    def deadline(self) -> float:
-        """Earliest queued arrival plus the class latency target.
-
-        Hot-empty buckets (possibly holding only deferred work) sort last:
-        deferred tasks are cold by design and re-admit via the drain hook
-        once a pop touches their queue.
-        """
-        earliest = None
-        for q in self.queues:
-            head = q.head_created_ns()
-            if head is not None and (earliest is None or head < earliest):
-                earliest = head
-        if earliest is None:
-            return float("inf")
-        deadline = earliest + self.qos.latency_target_ns
-        if self.warp_remaining > 0:
-            deadline -= self.qos.warp_ns
-        return deadline
-
-
-class QosBucketScheduler(SchedulingPolicy):
+class QosBucketScheduler(DeadlineBucketScheduler):
     """Per-class EDF root buckets with warp and starvation avoidance."""
 
     name = "qos"
@@ -114,144 +63,27 @@ class QosBucketScheduler(SchedulingPolicy):
         self.classes = resolved
         self.warp_dispatches = warp_dispatches
         self.starvation_limit = starvation_limit
-        self._buckets: list[_Bucket] = []
-        self._by_name: dict[str, int] = {}
-        self._same_domain: list[tuple[int, ...]] = []
-        self._remote: list[tuple[int, ...]] = []
-
-    # -- setup ---------------------------------------------------------------
+        self._by_name: dict[str, DeadlineBucket] = {}
 
     def _build_queues(self) -> None:
-        n = self.num_workers
-        self._buckets = [
-            _Bucket(c, n, self.starvation_limit) for c in self.classes
-        ]
-        self._by_name = {c.name: i for i, c in enumerate(self.classes)}
-        assert self.machine is not None
-        self._same_domain = [self.machine.same_domain_cores(w) for w in range(n)]
-        self._remote = [self.machine.remote_domain_cores(w) for w in range(n)]
+        super()._build_queues()
+        self._by_name = {
+            c.name: self._add_bucket(
+                latency_ns=c.latency_target_ns,
+                rank=c.rank,
+                warp_ns=c.warp_ns,
+                starvation_limit=max(1, self.starvation_limit // c.weight),
+            )
+            for c in self.classes
+        }
 
-    # -- producers -------------------------------------------------------------
-
-    def _bucket_of(self, task: Task) -> _Bucket:
-        qos = task.qos
-        if qos is not None:
-            idx = self._by_name.get(qos.name)
-            if idx is not None:
-                return self._buckets[idx]
-            qos = None  # unknown class: fall back to priority routing
-        cls = class_for_priority(task.priority, self.classes)
-        return self._buckets[self._by_name[cls.name]]
-
-    def _enqueue(self, task: Task, worker: int, *, pending: bool) -> None:
-        bucket = self._bucket_of(task)
-        wake = bucket.qos.warp_ns > 0 and bucket.hot_depth() == 0
-        task.home_worker = worker
-        queue = bucket.queues[worker]
-        if pending:
-            queue.push_pending(task)
-        else:
-            queue.push_staged(task)
-        # Arm warp only if the push actually landed hot (a shed or deferred
-        # admission must not earn the bucket a boost).
-        if wake and bucket.hot_depth() > 0:
-            bucket.warp_remaining = self.warp_dispatches
-
-    def enqueue_staged(self, task: Task, worker: int) -> None:
-        self._enqueue(task, worker, pending=False)
-
-    def enqueue_pending(self, task: Task, worker: int) -> None:
-        self._enqueue(task, worker, pending=True)
-
-    # -- consumer ----------------------------------------------------------------
-
-    def _selection_order(self) -> list[_Bucket]:
-        """Root-bucket phase: starved buckets first, then EDF order.
-
-        Ties break toward the higher-rank class, then the class list
-        position — a total, deterministic order.
-        """
-        candidates = [b for b in self._buckets if b.has_work()]
-        starved = [b for b in candidates if b.skipped >= b.starvation_limit]
-        rest = [b for b in candidates if b.skipped < b.starvation_limit]
-
-        def key(b: _Bucket) -> tuple[float, int, int]:
-            return (b.deadline(), -b.qos.rank, self._by_name[b.qos.name])
-
-        return sorted(starved, key=key) + sorted(rest, key=key)
-
-    def _note_selected(self, bucket: _Bucket) -> None:
-        if bucket.warp_remaining > 0:
-            bucket.warp_remaining -= 1
-        bucket.skipped = 0
-        for other in self._buckets:
-            if other is not bucket and other.has_work():
-                other.skipped += 1
-
-    def _find_in_bucket(self, bucket: _Bucket, worker: int) -> FoundWork | None:
-        """Thread phase inside one bucket: Fig. 1 order over its queues."""
-        queues = bucket.queues
-        own = queues[worker]
-        task = own.pop_pending()
-        if task is not None:
-            return FoundWork(task, WorkSource.LOCAL_PENDING)
-        task = own.pop_staged()
-        if task is not None:
-            # Convert through the pending queue (as priority-local does) so
-            # the staged->pending traffic registers in the Fig. 9/10 counters.
-            own.push_pending(task)
-            task = own.pop_pending()
-            assert task is not None
-            return FoundWork(task, WorkSource.LOCAL_STAGED)
-        for other in self._same_domain[worker]:
-            task = queues[other].pop_staged()
-            if task is not None:
-                own.push_pending(task)
-                task = own.pop_pending()
-                assert task is not None
-                return FoundWork(task, WorkSource.NUMA_STAGED)
-        for other in self._same_domain[worker]:
-            task = queues[other].pop_pending()
-            if task is not None:
-                return FoundWork(task, WorkSource.NUMA_PENDING)
-        for other in self._remote[worker]:
-            task = queues[other].pop_staged()
-            if task is not None:
-                own.push_pending(task)
-                task = own.pop_pending()
-                assert task is not None
-                return FoundWork(task, WorkSource.REMOTE_STAGED)
-        for other in self._remote[worker]:
-            task = queues[other].pop_pending()
-            if task is not None:
-                return FoundWork(task, WorkSource.REMOTE_PENDING)
-        return None
-
-    def find_work(self, worker: int) -> FoundWork | None:
-        for bucket in self._selection_order():
-            found = self._find_in_bucket(bucket, worker)
-            if found is not None:
-                self._note_selected(bucket)
-                return found
-        return None
-
-    def shared_structure_penalty_ns(self, active_workers: int) -> int:
-        """Root-bucket EDF state is shared by every worker's dispatch."""
-        return ROOT_CONTENTION_NS_PER_WORKER * max(0, active_workers - 1)
-
-    # -- introspection -------------------------------------------------------------
-
-    def queues(self) -> Iterator[DualQueue]:
-        for bucket in self._buckets:
-            yield from bucket.queues
+    def _bucket_for(self, task: Task) -> DeadlineBucket:
+        bucket = self._by_name.get(getattr(task.qos, "name", None))
+        if bucket is None:
+            cls = class_for_priority(task.priority, self.classes)
+            bucket = self._by_name[cls.name]
+        return bucket
 
     def bucket_queue(self, class_name: str, worker: int) -> DualQueue:
         """The ``worker``-homed queue of class ``class_name`` (tests)."""
-        return self._buckets[self._by_name[class_name]].queues[worker]
-
-    def worker_queue_depth(self, worker: int) -> int:
-        return sum(
-            q.pending_len + q.staged_len
-            for bucket in self._buckets
-            for q in (bucket.queues[worker],)
-        )
+        return self._by_name[class_name].queues[worker]

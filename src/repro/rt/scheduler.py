@@ -14,42 +14,35 @@ policy does the rest.  This is deliberately the configuration where
 priority inversion is *observable*: the LOW tier runs only when every
 other queue is empty.
 
-**Job-level EDF** (:class:`EdfScheduler`, registry name ``rt-edf``) reuses
-the QoS bucket scheduler's clock-free EDF root selection: one bucket per
-RT task (keyed by the :class:`RtTag` each subtask carries in ``Task.qos``),
-and the bucket to serve next is the one whose *head* job has the earliest
-absolute deadline.  Within a bucket releases are monotone and the relative
-deadline is constant, so FIFO order *is* deadline order — which makes the
-bucket selection exactly job-level EDF while selection stays a pure
-function of queue contents (no clock reads, bit-reproducible everywhere).
-Subtasks without an :class:`RtTag` fall into a default bucket whose
-deadline is ``arrival + default_latency_ns``, so mixed workloads (and the
-differential fuzzer) run unmodified.
+**Job-level EDF** (:class:`EdfScheduler`, registry name ``rt-edf``) is a
+routing preset of the clock-free deadline-bucket scheduler
+(:class:`~repro.schedulers.buckets.DeadlineBucketScheduler`, which the
+``qos`` preset shares): one bucket per RT task (keyed by the
+:class:`RtTag` each subtask carries in ``Task.qos``), and the bucket to
+serve next is the one whose *head* job has the earliest absolute deadline.
+Within a bucket releases are monotone and the relative deadline is
+constant, so FIFO order *is* deadline order — which makes the bucket
+selection exactly job-level EDF while selection stays a pure function of
+queue contents (no clock reads, bit-reproducible everywhere).  EDF buckets
+have rank 0, no warp and no starvation limit, so deadline ties break on
+bucket creation (first-enqueue) order.  Subtasks without an :class:`RtTag`
+fall into a default bucket whose deadline is ``arrival +
+default_latency_ns``, so mixed workloads (and the differential fuzzer) run
+unmodified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.runtime.task import Priority, Task
-from repro.schedulers.base import FoundWork, SchedulingPolicy, WorkSource
-from repro.schedulers.queues import DualQueue
+from repro.schedulers.buckets import DeadlineBucket, DeadlineBucketScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.rt.model import TaskSet
 
-__all__ = [
-    "RtTag",
-    "rate_monotonic_priorities",
-    "EdfScheduler",
-    "EDF_ROOT_CONTENTION_NS_PER_WORKER",
-]
-
-#: per-dispatch cost of the shared EDF root state (cf. the QoS scheduler's
-#: ROOT_CONTENTION_NS_PER_WORKER): every worker's find_work scans the same
-#: bucket-deadline structure
-EDF_ROOT_CONTENTION_NS_PER_WORKER = 12
+__all__ = ["RtTag", "rate_monotonic_priorities", "EdfScheduler"]
 
 #: bucket for subtasks that carry no RtTag
 _UNTAGGED = "@untagged"
@@ -92,39 +85,7 @@ def rate_monotonic_priorities(taskset: "TaskSet") -> dict[str, Priority]:
     return out
 
 
-class _RtBucket:
-    """Per-task EDF state: one DualQueue per worker, FIFO = deadline order."""
-
-    __slots__ = ("key", "queues")
-
-    def __init__(self, key: str, num_workers: int):
-        self.key = key
-        self.queues = [DualQueue() for _ in range(num_workers)]
-
-    def has_work(self) -> bool:
-        return any(not q.is_empty for q in self.queues)
-
-    def deadline(self, default_latency_ns: int) -> float:
-        """Earliest head deadline across the bucket's queues.
-
-        Heads carry their absolute deadline in the :class:`RtTag`;
-        untagged heads get ``created_ns + default_latency_ns``.  Hot-empty
-        queues contribute nothing (deferred work is cold by design).
-        """
-        earliest = float("inf")
-        for q in self.queues:
-            head = q.head_task()
-            if head is None:
-                continue
-            deadline = getattr(head.qos, "absolute_deadline_ns", None)
-            if deadline is None:
-                deadline = head.created_ns + default_latency_ns
-            if deadline < earliest:
-                earliest = deadline
-        return earliest
-
-
-class EdfScheduler(SchedulingPolicy):
+class EdfScheduler(DeadlineBucketScheduler):
     """Job-level EDF via per-task buckets and clock-free root selection."""
 
     name = "rt-edf"
@@ -136,115 +97,21 @@ class EdfScheduler(SchedulingPolicy):
                 f"default_latency_ns must be >= 0, got {default_latency_ns}"
             )
         self.default_latency_ns = default_latency_ns
-        self._buckets: list[_RtBucket] = []
-        self._by_key: dict[str, int] = {}
-        self._same_domain: list[tuple[int, ...]] = []
-        self._remote: list[tuple[int, ...]] = []
-
-    # -- setup ---------------------------------------------------------------
+        self._by_key: dict[str, DeadlineBucket] = {}
 
     def _build_queues(self) -> None:
-        self._buckets = []
+        super()._build_queues()
         self._by_key = {}
-        assert self.machine is not None
-        n = self.num_workers
-        self._same_domain = [self.machine.same_domain_cores(w) for w in range(n)]
-        self._remote = [self.machine.remote_domain_cores(w) for w in range(n)]
 
-    def _bucket_of(self, task: Task) -> _RtBucket:
+    def _bucket_for(self, task: Task) -> DeadlineBucket:
         key = getattr(task.qos, "bucket_key", None)
         if not isinstance(key, str) or not key:
             key = _UNTAGGED
-        idx = self._by_key.get(key)
-        if idx is None:
+        bucket = self._by_key.get(key)
+        if bucket is None:
             # Buckets appear in first-enqueue order, which is itself a
             # deterministic function of the workload — ties in deadline
             # break on this index, keeping selection total and replayable.
-            idx = len(self._buckets)
-            self._by_key[key] = idx
-            self._buckets.append(_RtBucket(key, self.num_workers))
-        return self._buckets[idx]
-
-    # -- producers -------------------------------------------------------------
-
-    def enqueue_staged(self, task: Task, worker: int) -> None:
-        task.home_worker = worker
-        self._bucket_of(task).queues[worker].push_staged(task)
-
-    def enqueue_pending(self, task: Task, worker: int) -> None:
-        task.home_worker = worker
-        self._bucket_of(task).queues[worker].push_pending(task)
-
-    # -- consumer ----------------------------------------------------------------
-
-    def _selection_order(self) -> list[_RtBucket]:
-        """Root phase: non-empty buckets by (head deadline, bucket index)."""
-        candidates = [
-            (b.deadline(self.default_latency_ns), i, b)
-            for i, b in enumerate(self._buckets)
-            if b.has_work()
-        ]
-        candidates.sort(key=lambda entry: (entry[0], entry[1]))
-        return [b for _, _, b in candidates]
-
-    def _find_in_bucket(self, bucket: _RtBucket, worker: int) -> FoundWork | None:
-        """Thread phase inside one bucket: the paper's Fig. 1 order."""
-        queues = bucket.queues
-        own = queues[worker]
-        task = own.pop_pending()
-        if task is not None:
-            return FoundWork(task, WorkSource.LOCAL_PENDING)
-        task = own.pop_staged()
-        if task is not None:
-            # Convert through the pending queue (as priority-local does) so
-            # the staged->pending traffic registers in the Fig. 9/10 counters.
-            own.push_pending(task)
-            task = own.pop_pending()
-            assert task is not None
-            return FoundWork(task, WorkSource.LOCAL_STAGED)
-        for other in self._same_domain[worker]:
-            task = queues[other].pop_staged()
-            if task is not None:
-                own.push_pending(task)
-                task = own.pop_pending()
-                assert task is not None
-                return FoundWork(task, WorkSource.NUMA_STAGED)
-        for other in self._same_domain[worker]:
-            task = queues[other].pop_pending()
-            if task is not None:
-                return FoundWork(task, WorkSource.NUMA_PENDING)
-        for other in self._remote[worker]:
-            task = queues[other].pop_staged()
-            if task is not None:
-                own.push_pending(task)
-                task = own.pop_pending()
-                assert task is not None
-                return FoundWork(task, WorkSource.REMOTE_STAGED)
-        for other in self._remote[worker]:
-            task = queues[other].pop_pending()
-            if task is not None:
-                return FoundWork(task, WorkSource.REMOTE_PENDING)
-        return None
-
-    def find_work(self, worker: int) -> FoundWork | None:
-        for bucket in self._selection_order():
-            found = self._find_in_bucket(bucket, worker)
-            if found is not None:
-                return found
-        return None
-
-    def shared_structure_penalty_ns(self, active_workers: int) -> int:
-        """The EDF root scan is shared by every worker's dispatch."""
-        return EDF_ROOT_CONTENTION_NS_PER_WORKER * max(0, active_workers - 1)
-
-    # -- introspection -------------------------------------------------------------
-
-    def queues(self) -> Iterator[DualQueue]:
-        for bucket in self._buckets:
-            yield from bucket.queues
-
-    def worker_queue_depth(self, worker: int) -> int:
-        return sum(
-            bucket.queues[worker].pending_len + bucket.queues[worker].staged_len
-            for bucket in self._buckets
-        )
+            bucket = self._add_bucket(latency_ns=self.default_latency_ns)
+            self._by_key[key] = bucket
+        return bucket

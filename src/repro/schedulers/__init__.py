@@ -13,10 +13,20 @@ the paper's Fig. 1:
 5. staged queues of remote NUMA domains
 6. pending queues of remote NUMA domains
 
+That order exists once, as :func:`repro.schedulers.base.fig1_search`; every
+NUMA-aware policy runs it over its own per-worker queues.
+
 :mod:`repro.schedulers.variants` adds the comparison policies used by the
 ablation benchmarks (static/no-stealing, one global queue, NUMA-blind
 stealing); the paper motivates studying such scheduler/granularity
 interactions but defers it to future work, so these are extensions.
+
+:mod:`repro.schedulers.buckets` holds the deadline-bucket scheduler (a
+Clutch-style EDF root phase over per-bucket queues, then the Fig. 1 thread
+phase inside the chosen bucket).  Its two presets live with the layers that
+own their routing: ``qos`` (:mod:`repro.qos.scheduler`, one bucket per QoS
+class) and ``rt-edf`` (:mod:`repro.rt.scheduler`, one bucket per real-time
+task).
 """
 
 from repro.schedulers.base import FoundWork, SchedulingPolicy, WorkSource

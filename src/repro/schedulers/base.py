@@ -4,13 +4,18 @@ A policy owns the task queues and answers one question — *given an idle
 worker, what should it run next?* — while the executor owns time, cost
 charging and task execution.  This split lets the simulated and the real
 thread executor share every policy unchanged.
+
+:func:`fig1_search` is the paper's Fig. 1 thread phase, written once: every
+NUMA-aware policy (Priority Local and the deadline-bucket presets) runs it
+over its own per-worker queues, with the steal orders that
+:meth:`SchedulingPolicy.attach` precomputes.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.runtime.task import Priority, Task
 from repro.schedulers.queues import DualQueue, QueueStats
@@ -58,6 +63,57 @@ class FoundWork:
     source: WorkSource
 
 
+def _convert(own: DualQueue, task: Task, source: WorkSource) -> FoundWork:
+    # Mirror HPX's mechanics: a staged description is converted into a
+    # pending thread on the *running* worker's queue and immediately popped
+    # again, so the pending-queue counters register the conversion traffic
+    # that Fig. 9/10 measure.  Callers reach this only after finding
+    # ``own``'s pending lane empty, so the pop returns ``task``.
+    own.push_pending(task)
+    converted = own.pop_pending()
+    assert converted is not None
+    return FoundWork(converted, source)
+
+
+def fig1_search(
+    queues: Sequence[DualQueue],
+    worker: int,
+    same_domain: tuple[int, ...],
+    remote: tuple[int, ...],
+) -> FoundWork | None:
+    """The thread phase of the paper's Fig. 1 over one queue per worker.
+
+    Steps: 1. own pending, 2. own staged, 3./4. staged then pending queues
+    of ``same_domain``, 5./6. staged then pending queues of ``remote``.
+    Staged work, local or stolen, converts through ``worker``'s own pending
+    queue.  Every probe counts an access (and maybe a miss) at the queue.
+    """
+    own = queues[worker]
+    task = own.pop_pending()
+    if task is not None:
+        return FoundWork(task, WorkSource.LOCAL_PENDING)
+    task = own.pop_staged()
+    if task is not None:
+        return _convert(own, task, WorkSource.LOCAL_STAGED)
+    for other in same_domain:
+        task = queues[other].pop_staged()
+        if task is not None:
+            return _convert(own, task, WorkSource.NUMA_STAGED)
+    for other in same_domain:
+        task = queues[other].pop_pending()
+        if task is not None:
+            return FoundWork(task, WorkSource.NUMA_PENDING)
+    for other in remote:
+        task = queues[other].pop_staged()
+        if task is not None:
+            return _convert(own, task, WorkSource.REMOTE_STAGED)
+    for other in remote:
+        task = queues[other].pop_pending()
+        if task is not None:
+            return FoundWork(task, WorkSource.REMOTE_PENDING)
+    return None
+
+
 class SchedulingPolicy:
     """Base class for scheduling policies.
 
@@ -70,13 +126,18 @@ class SchedulingPolicy:
     def __init__(self) -> None:
         self.machine: Machine | None = None
         self.num_workers: int = 0
+        # Fig. 1 steal orders (steps 3-4 and 5-6), one tuple per worker.
+        self._same_domain: list[tuple[int, ...]] = []
+        self._remote: list[tuple[int, ...]] = []
 
     # -- setup ---------------------------------------------------------------
 
     def attach(self, machine: Machine) -> None:
         """Bind to ``machine`` and build one queue set per worker."""
         self.machine = machine
-        self.num_workers = machine.num_cores
+        self.num_workers = n = machine.num_cores
+        self._same_domain = [machine.same_domain_cores(w) for w in range(n)]
+        self._remote = [machine.remote_domain_cores(w) for w in range(n)]
         self._build_queues()
 
     def _build_queues(self) -> None:

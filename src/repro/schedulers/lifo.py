@@ -4,9 +4,7 @@ HPX ships both FIFO and LIFO composition of the Priority Local policy
 (``local-priority-fifo`` — the paper's measured configuration — and
 ``local-priority-lifo``).  LIFO pops the *most recently* queued task from
 the local queues, which keeps the working set of a fork-join recursion hot
-(depth-first execution) at the price of fairness; steals still take the
-oldest staged work, as in classic work-stealing runtimes (steal-from-the-
-top, execute-from-the-bottom).
+(depth-first execution) at the price of fairness.
 
 Only the local pop order differs from
 :class:`repro.schedulers.priority_local.PriorityLocalScheduler`; the NUMA
@@ -25,12 +23,7 @@ from repro.schedulers.queues import DualQueue
 
 @dataclass
 class LifoDualQueue(DualQueue):
-    """Dual queue whose *local* pops are LIFO; steals use FIFO pops.
-
-    ``pop_pending``/``pop_staged`` (used by the owner) take the newest
-    entry; ``steal_pending``/``steal_staged`` (used by thieves) take the
-    oldest, so the two ends never collide in intent.
-    """
+    """Dual queue whose pops take the newest entry (LIFO)."""
 
     def pop_pending(self) -> Task | None:
         admission = self.admission
@@ -54,12 +47,6 @@ class LifoDualQueue(DualQueue):
         stats.staged_misses += 1
         return None
 
-    def steal_pending(self) -> Task | None:
-        return super().pop_pending()
-
-    def steal_staged(self) -> Task | None:
-        return super().pop_staged()
-
 
 class PriorityLocalLifoScheduler(PriorityLocalScheduler):
     """Priority Local policy over LIFO local queues (HPX's
@@ -67,9 +54,7 @@ class PriorityLocalLifoScheduler(PriorityLocalScheduler):
 
     Thief-side accesses go through the same ``pop_*`` methods as the
     owner's, i.e. steals also take the newest entry — matching HPX's
-    ``local-priority-lifo``, whose queues have a single pop end.  The
-    ``steal_*`` FIFO accessors on :class:`LifoDualQueue` exist for policies
-    that want the classic steal-oldest discipline.
+    ``local-priority-lifo``, whose queues have a single pop end.
     """
 
     name = "priority-local-lifo"

@@ -31,7 +31,12 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.runtime.task import Priority, Task
-from repro.schedulers.base import FoundWork, SchedulingPolicy, WorkSource
+from repro.schedulers.base import (
+    FoundWork,
+    SchedulingPolicy,
+    WorkSource,
+    fig1_search,
+)
 from repro.schedulers.queues import DualQueue
 
 
@@ -46,9 +51,6 @@ class PriorityLocalScheduler(SchedulingPolicy):
         self._normal: list[DualQueue] = []
         self._high: list[DualQueue] = []
         self._low: DualQueue | None = None
-        # Precomputed steal orders, one pair of tuples per worker.
-        self._same_domain: list[tuple[int, ...]] = []
-        self._remote: list[tuple[int, ...]] = []
 
     def _build_queues(self) -> None:
         n = self.num_workers
@@ -58,11 +60,6 @@ class PriorityLocalScheduler(SchedulingPolicy):
         self._normal = [DualQueue() for _ in range(n)]
         self._high = [DualQueue() for _ in range(hp)]
         self._low = DualQueue()
-        assert self.machine is not None
-        self._same_domain = [
-            self.machine.same_domain_cores(w) for w in range(n)
-        ]
-        self._remote = [self.machine.remote_domain_cores(w) for w in range(n)]
 
     # -- producers -------------------------------------------------------------
 
@@ -85,7 +82,6 @@ class PriorityLocalScheduler(SchedulingPolicy):
     # -- consumer ----------------------------------------------------------------
 
     def find_work(self, worker: int) -> FoundWork | None:
-        normal = self._normal
         high = self._high
 
         # High-priority work owned by this worker comes first.
@@ -98,51 +94,12 @@ class PriorityLocalScheduler(SchedulingPolicy):
             if task is not None:
                 return FoundWork(task, WorkSource.HIGH_PRIORITY)
 
-        # 1. own pending; 2. own staged.
-        own = normal[worker]
-        task = own.pop_pending()
-        if task is not None:
-            return FoundWork(task, WorkSource.LOCAL_PENDING)
-        task = own.pop_staged()
-        if task is not None:
-            # Mirror HPX's mechanics: the staged description is converted
-            # into a pending thread and immediately popped again, so the
-            # pending-queue counters register the conversion traffic that
-            # Fig. 9/10 measure.
-            own.push_pending(task)
-            task = own.pop_pending()
-            assert task is not None
-            return FoundWork(task, WorkSource.LOCAL_STAGED)
-
-        # 3./4. same NUMA domain: staged queues first, then pending.  A
-        # stolen description converts through the *thief's* pending queue
-        # (it is safe to reuse ``own`` here: step 1 just found it empty).
-        same = self._same_domain[worker]
-        for other in same:
-            task = normal[other].pop_staged()
-            if task is not None:
-                own.push_pending(task)
-                task = own.pop_pending()
-                assert task is not None
-                return FoundWork(task, WorkSource.NUMA_STAGED)
-        for other in same:
-            task = normal[other].pop_pending()
-            if task is not None:
-                return FoundWork(task, WorkSource.NUMA_PENDING)
-
-        # 5./6. remote NUMA domains: staged first, then pending.
-        remote = self._remote[worker]
-        for other in remote:
-            task = normal[other].pop_staged()
-            if task is not None:
-                own.push_pending(task)
-                task = own.pop_pending()
-                assert task is not None
-                return FoundWork(task, WorkSource.REMOTE_STAGED)
-        for other in remote:
-            task = normal[other].pop_pending()
-            if task is not None:
-                return FoundWork(task, WorkSource.REMOTE_PENDING)
+        # 1.-6. the Fig. 1 thread phase over the normal-priority queues.
+        found = fig1_search(
+            self._normal, worker, self._same_domain[worker], self._remote[worker]
+        )
+        if found is not None:
+            return found
 
         # High-priority queues of other workers, before going idle.
         for i, hq in enumerate(high):

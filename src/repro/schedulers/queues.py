@@ -108,32 +108,16 @@ class DualQueue:
     def head_task(self) -> Task | None:
         """Peek the oldest hot entry (earliest ``created_ns``), or None.
 
-        Companion to :meth:`head_created_ns` for deadline-ordered root
-        selection that needs the head *task* (the RT EDF scheduler reads
-        its deadline tag).  Both lanes are FIFO, so the older of the two
-        heads is the queue's earliest arrival.  No access is counted.
+        Introspection for deadline-ordered root selection (the deadline-
+        bucket scheduler reads the head's arrival and deadline tag).  Both
+        lanes are FIFO, so the older of the two heads is the queue's
+        earliest arrival.  No access is counted — this is a peek, not a
+        scheduling attempt.
         """
         head = self._pending[0] if self._pending else None
         if self._staged:
             staged_head = self._staged[0]
             if head is None or staged_head.created_ns < head.created_ns:
-                head = staged_head
-        return head
-
-    def head_created_ns(self) -> int | None:
-        """Earliest ``created_ns`` among the queue heads, or None if hot-empty.
-
-        Introspection for deadline-ordered root selection (the QoS bucket
-        scheduler): both lanes are FIFO, so their heads are the oldest
-        entries and the minimum over them is the queue's earliest arrival.
-        No access is counted — this is a peek, not a scheduling attempt.
-        """
-        head = None
-        if self._pending:
-            head = self._pending[0].created_ns
-        if self._staged:
-            staged_head = self._staged[0].created_ns
-            if head is None or staged_head < head:
                 head = staged_head
         return head
 

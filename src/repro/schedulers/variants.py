@@ -111,30 +111,17 @@ class GlobalQueueScheduler(SchedulingPolicy):
             yield self._queue
 
 
-class NumaBlindStealingScheduler(SchedulingPolicy):
+class NumaBlindStealingScheduler(StaticScheduler):
     """Per-worker dual queues with flat, NUMA-unaware stealing.
 
     Searches every other worker in ascending index order (staged first, then
     pending), so roughly half of all steals cross the socket boundary on the
-    two-domain platforms and pay the remote-steal cost.
+    two-domain platforms and pay the remote-steal cost.  Queues, producers
+    and introspection are :class:`StaticScheduler`'s; unlike the Fig. 1
+    search, staged work runs without converting through a pending queue.
     """
 
     name = "numa-blind"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._queues: list[DualQueue] = []
-
-    def _build_queues(self) -> None:
-        self._queues = [DualQueue() for _ in range(self.num_workers)]
-
-    def enqueue_staged(self, task: Task, worker: int) -> None:
-        task.home_worker = worker
-        self._queues[worker].push_staged(task)
-
-    def enqueue_pending(self, task: Task, worker: int) -> None:
-        task.home_worker = worker
-        self._queues[worker].push_pending(task)
 
     def _source(self, worker: int, other: int, staged: bool) -> WorkSource:
         assert self.machine is not None
@@ -165,10 +152,3 @@ class NumaBlindStealingScheduler(SchedulingPolicy):
             if task is not None:
                 return FoundWork(task, self._source(worker, other, staged=False))
         return None
-
-    def queues(self) -> Iterator[DualQueue]:
-        yield from self._queues
-
-    def worker_queue_depth(self, worker: int) -> int:
-        q = self._queues[worker]
-        return q.pending_len + q.staged_len

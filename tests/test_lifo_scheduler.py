@@ -34,13 +34,6 @@ class TestLifoDualQueue:
         q.push_staged(b)
         assert q.pop_staged() is b
 
-    def test_steal_accessors_are_fifo(self):
-        q = LifoDualQueue()
-        a, b = task("a"), task("b")
-        q.push_pending(a)
-        q.push_pending(b)
-        assert q.steal_pending() is a
-
     def test_access_counting_preserved(self):
         q = LifoDualQueue()
         q.pop_pending()

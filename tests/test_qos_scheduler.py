@@ -9,6 +9,7 @@ import pytest
 
 from repro.qos.classes import QosClass, default_classes
 from repro.qos.scheduler import QosBucketScheduler
+from repro.rt.scheduler import RtTag
 from repro.runtime.runtime import Runtime, RuntimeConfig
 from repro.runtime.task import Priority, Task
 from repro.schedulers import SCHEDULERS, make_scheduler
@@ -82,6 +83,12 @@ class TestRouting:
         policy.enqueue_staged(task(qos=other, priority=Priority.LOW), 0)
         assert policy.bucket_queue("batch", 0).staged_len == 1
 
+    def test_foreign_tag_falls_back_to_priority(self):
+        tag = RtTag(absolute_deadline_ns=1_000, bucket_key="ctrl")
+        policy = attached()
+        policy.enqueue_staged(task(qos=tag, priority=Priority.HIGH), 0)
+        assert policy.bucket_queue("interactive", 0).staged_len == 1
+
     def test_depth_introspection(self):
         policy = attached()
         policy.enqueue_staged(task(qos=BATCH), 2)
@@ -133,14 +140,14 @@ class TestWarp:
     def test_wakeup_arms_warp_and_dispatch_consumes_it(self):
         policy = attached(warp_dispatches=2)
         policy.enqueue_staged(task(qos=INTERACTIVE), 0)
-        bucket = policy._buckets[policy._by_name["interactive"]]
+        bucket = policy._by_name["interactive"]
         assert bucket.warp_remaining == 2
         assert policy.find_work(0) is not None
         assert bucket.warp_remaining == 1
 
     def test_warp_advances_the_deadline(self):
         policy = attached()
-        bucket = policy._buckets[policy._by_name["interactive"]]
+        bucket = policy._by_name["interactive"]
         policy.enqueue_staged(task(qos=INTERACTIVE, created_ns=1_000), 0)
         warped = bucket.deadline()
         bucket.warp_remaining = 0
@@ -149,7 +156,7 @@ class TestWarp:
     def test_push_into_nonempty_bucket_does_not_rearm(self):
         policy = attached(warp_dispatches=2)
         policy.enqueue_staged(task(qos=INTERACTIVE), 0)
-        bucket = policy._buckets[policy._by_name["interactive"]]
+        bucket = policy._by_name["interactive"]
         bucket.warp_remaining = 0
         policy.enqueue_staged(task(qos=INTERACTIVE), 0)
         assert bucket.warp_remaining == 0
@@ -158,7 +165,7 @@ class TestWarp:
         policy = attached()
         assert BATCH.warp_ns == 0
         policy.enqueue_staged(task(qos=BATCH), 0)
-        bucket = policy._buckets[policy._by_name["batch"]]
+        bucket = policy._by_name["batch"]
         assert bucket.warp_remaining == 0
 
 

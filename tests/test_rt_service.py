@@ -90,7 +90,7 @@ def test_every_release_is_accounted_under_every_protocol(protocol):
     assert len(out.missed_jobs()) == 1
 
 
-@pytest.mark.parametrize("scheduler", [None, "rm", "rt-edf"])
+@pytest.mark.parametrize("scheduler", [None, "rm", "rt-edf", "qos"])
 def test_every_scheduler_axis_conserves(scheduler):
     out = run_rt_service(small_set(), small_config(scheduler=scheduler))
     # the open-loop release schedule does not depend on the scheduler

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.qos.scheduler import QosBucketScheduler
+from repro.rt.scheduler import EdfScheduler
 from repro.runtime.task import Priority, Task
 from repro.schedulers import SCHEDULERS, make_scheduler
 from repro.schedulers.base import WorkSource
@@ -66,11 +68,19 @@ class TestDualQueue:
         assert q.stats.pending_accesses == 0
 
 
-class TestPriorityLocalOrder:
-    """The work-finding order of the paper's Fig. 1."""
+class Fig1Order:
+    """The work-finding order of the paper's Fig. 1, steps 1-6.
+
+    Mixed into one test class per policy that runs the shared thread phase
+    (:func:`repro.schedulers.base.fig1_search`): Priority Local, and the
+    ``qos`` and ``rt-edf`` deadline-bucket presets, where untagged NORMAL
+    tasks all land in one bucket.
+    """
+
+    policy: type
 
     def test_own_pending_first(self):
-        p = attached(PriorityLocalScheduler())
+        p = attached(self.policy())
         t_pending, t_staged = task("p"), task("s")
         p.enqueue_pending(t_pending, 0)
         p.enqueue_staged(t_staged, 0)
@@ -79,7 +89,7 @@ class TestPriorityLocalOrder:
         assert found.source is WorkSource.LOCAL_PENDING
 
     def test_own_staged_second(self):
-        p = attached(PriorityLocalScheduler())
+        p = attached(self.policy())
         t = task()
         p.enqueue_staged(t, 0)
         found = p.find_work(0)
@@ -90,7 +100,7 @@ class TestPriorityLocalOrder:
 
     def test_numa_staged_before_numa_pending(self):
         # 4 cores on Haswell all share domain 0.
-        p = attached(PriorityLocalScheduler(), cores=4)
+        p = attached(self.policy(), cores=4)
         t_staged, t_pending = task("s"), task("p")
         p.enqueue_pending(t_pending, 1)
         p.enqueue_staged(t_staged, 2)
@@ -100,7 +110,7 @@ class TestPriorityLocalOrder:
         assert found.source.was_stolen and found.source.same_domain
 
     def test_numa_pending_fourth(self):
-        p = attached(PriorityLocalScheduler(), cores=4)
+        p = attached(self.policy(), cores=4)
         t = task()
         p.enqueue_pending(t, 3)
         found = p.find_work(0)
@@ -108,7 +118,7 @@ class TestPriorityLocalOrder:
 
     def test_remote_staged_before_remote_pending(self):
         # 16 cores: workers 14/15 are in NUMA domain 1.
-        p = attached(PriorityLocalScheduler(), cores=16)
+        p = attached(self.policy(), cores=16)
         t_staged, t_pending = task("rs"), task("rp")
         p.enqueue_pending(t_pending, 14)
         p.enqueue_staged(t_staged, 15)
@@ -118,16 +128,37 @@ class TestPriorityLocalOrder:
         assert not found.source.same_domain
 
     def test_local_numa_preferred_over_remote(self):
-        p = attached(PriorityLocalScheduler(), cores=16)
+        p = attached(self.policy(), cores=16)
         t_near, t_far = task("near"), task("far")
         p.enqueue_staged(t_far, 15)   # remote domain
         p.enqueue_staged(t_near, 1)   # same domain as worker 0
         found = p.find_work(0)
         assert found.task is t_near
 
+    def test_stolen_staged_converts_through_thief_pending(self):
+        p = attached(self.policy(), cores=4)
+        p.enqueue_staged(task(), 2)
+        assert p.find_work(0).source is WorkSource.NUMA_STAGED
+        (victim,) = [
+            q for q in p.queues() if q.stats.staged_accesses > q.stats.staged_misses
+        ]
+        (thief,) = [
+            q for q in p.queues() if q.stats.pending_accesses > q.stats.pending_misses
+        ]
+        # The thief's own queue missed at step 1, then popped the converted
+        # description: the Fig. 9/10 conversion traffic lands on the thief.
+        assert thief is not victim
+        assert (thief.stats.pending_accesses, thief.stats.pending_misses) == (2, 1)
+
     def test_empty_returns_none(self):
-        p = attached(PriorityLocalScheduler())
+        p = attached(self.policy())
         assert p.find_work(0) is None
+
+
+class TestPriorityLocalOrder(Fig1Order):
+    """Fig. 1 under the paper's scheduler, plus its priority queues."""
+
+    policy = PriorityLocalScheduler
 
     def test_high_priority_beats_local_pending(self):
         p = attached(PriorityLocalScheduler())
@@ -180,6 +211,18 @@ class TestPriorityLocalOrder:
         stats = p.aggregate_stats()
         assert stats.pending_accesses > 0
         assert stats.pending_misses == stats.pending_accesses
+
+
+class TestQosPresetOrder(Fig1Order):
+    """Fig. 1 inside one ``qos`` bucket (untagged NORMAL: "standard")."""
+
+    policy = QosBucketScheduler
+
+
+class TestEdfPresetOrder(Fig1Order):
+    """Fig. 1 inside one ``rt-edf`` bucket (untagged: the default one)."""
+
+    policy = EdfScheduler
 
 
 class TestStaticScheduler:
