@@ -4,11 +4,14 @@ import pytest
 
 from repro.experiments import figD_distributed_grain as figd
 from repro.experiments.config import get_scale
+from tests._golden import assert_golden
 
 
 @pytest.fixture(scope="module")
 def smoke_figure():
-    return figd.run(get_scale("smoke"))
+    fig = figd.run(get_scale("smoke"))
+    assert_golden(fig, "figD")
+    return fig
 
 
 class TestFigD:

@@ -181,6 +181,30 @@ class TestFigRSmoke:
         assert "validated (1 = matches serial reference)" in labels
         # One panel per drop rate plus the summary.
         assert len(fig.panels) == len(exp.DROP_RATES) + 1
+        assert_golden(fig, "figR")
+
+
+class TestFigCSmoke:
+    """figC (crash recovery vs grain) runs end-to-end at smoke scale.
+
+    Recovery conservation, bit-identical reruns, the legacy death with
+    recovery off and the best checkpoint interval coarsening with the
+    grain are properties of the recovery stack, so they are asserted at
+    smoke scale, together with the figure's exact series pin.
+    """
+
+    def test_run_and_checks(self):
+        from repro.experiments import figC_crash_recovery as exp
+
+        fig = exp.run(SMOKE)
+        problems = exp.shape_checks(fig)
+        assert problems == [], problems
+        labels = {s.label for s in fig.panels["summary (x = grain ns)"]}
+        assert "best checkpoint interval (ns)" in labels
+        assert "determinism (1 = bit-identical rerun)" in labels
+        # One panel per grain plus the summary.
+        assert len(fig.panels) == len(exp.GRAINS_NS) + 1
+        assert_golden(fig, "figC")
 
 
 class TestFigTSmoke:
@@ -320,6 +344,7 @@ class TestFigHSmoke:
                 "tail tolerance on: p99 makespan (s)",
                 "tail tolerance off: p99 makespan (s)",
             }
+        assert_golden(fig, "figH")
 
     def test_severe_straggler_stays_gray(self):
         from repro.experiments import figH_tail_tolerance as exp
