@@ -3,7 +3,7 @@
 # Every target works from a clean checkout: PYTHONPATH=src puts the package
 # on the path without requiring `make install` first.
 
-.PHONY: check install test test-fast lint fuzz bench perf-check experiments experiments-report clean
+.PHONY: check install test test-fast lint fuzz bench perf-check pins experiments experiments-report clean
 
 # Default flow: static analysis over shipped workloads, then the test suite.
 check: lint test
@@ -38,6 +38,12 @@ bench:
 # benchmark fixtures only), so they get their own target.
 perf-check:
 	PYTHONPATH=src pytest benchmarks/perf -q
+
+# Every cell's digest pin in benchmarks/perf/expected.json: all 51 cells of
+# the four workloads (about a minute), where perf-check runs only the
+# cheapest cell of each.
+pins:
+	python3 benchmarks/perf/run.py check
 
 experiments:
 	PYTHONPATH=src python -m repro.experiments.cli all --scale bench --no-plots

@@ -11,6 +11,8 @@ are built on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Mapping
 
 from repro.counters.counter import (
@@ -21,6 +23,9 @@ from repro.counters.counter import (
     ValueCounter,
 )
 from repro.counters.names import CounterName, parse_counter_name
+
+#: snapshot folds parse each distinct name once per process, not per read
+_parsed_name = lru_cache(maxsize=8192)(parse_counter_name)
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,38 @@ class CounterSnapshot:
             total, count = self.average_pairs[canonical]
             return total / count if count else 0.0
         return default
+
+    def _matching(self, pattern: str) -> Iterator[tuple[CounterName, float]]:
+        query = _parsed_name(pattern)
+        averages = ((name, total / count if count else 0.0)
+                    for name, (total, count) in self.average_pairs.items())
+        for name, value in chain(self.values.items(), averages):
+            parsed = _parsed_name(name)
+            if query.matches(parsed):
+                yield parsed, value
+
+    def total(self, pattern: str) -> float:
+        """Sum of every reading matching a possibly wildcarded name.
+
+        The distributed aggregation primitive: with the ``locality#*``
+        wildcard this folds one counter across all localities, e.g.
+        ``total("/parcels{locality#*/total}/count/sent")`` is the
+        system-wide parcel count.  Matching zero counters sums to 0.0.
+        """
+        return sum(value for _, value in self._matching(pattern))
+
+    def per_locality(self, pattern: str) -> dict[int, float]:
+        """Locality index → reading for counters matching ``pattern``.
+
+        Use with a ``locality#*`` wildcard to discover which localities
+        expose a counter and read them all; several matches on the same
+        locality (e.g. a ``worker-thread#*`` instance wildcard) sum.
+        """
+        out: dict[int, float] = {}
+        for parsed, value in self._matching(pattern):
+            if parsed.locality is not None:
+                out[parsed.locality] = out.get(parsed.locality, 0.0) + value
+        return dict(sorted(out.items()))
 
     def delta(self, earlier: "CounterSnapshot") -> "CounterSnapshot":
         """The interval reading ``self - earlier``.
@@ -154,29 +191,14 @@ class CounterRegistry:
                 yield self._counters[canonical]
 
     def total(self, pattern: str) -> float:
-        """Sum of every counter matching a possibly wildcarded name.
-
-        The distributed aggregation primitive: with the ``locality#*``
-        wildcard this folds one counter across all localities, e.g.
-        ``total("/parcels{locality#*/total}/count/sent")`` is the
-        system-wide parcel count.  Matching zero counters sums to 0.0.
-        """
-        return sum(c.get_value() for c in self.query(pattern))
+        """Sum of the current readings matching a possibly wildcarded name
+        (see :meth:`CounterSnapshot.total`)."""
+        return self.snapshot().total(pattern)
 
     def per_locality(self, pattern: str) -> dict[int, float]:
-        """Locality index → value for counters matching ``pattern``.
-
-        Use with a ``locality#*`` wildcard to discover which localities
-        expose a counter and read them all; several matches on the same
-        locality (e.g. a ``worker-thread#*`` instance wildcard) sum.
-        """
-        query = parse_counter_name(pattern)
-        out: dict[int, float] = {}
-        for canonical, parsed in self._parsed.items():
-            if query.matches(parsed) and parsed.locality is not None:
-                value = self._counters[canonical].get_value()
-                out[parsed.locality] = out.get(parsed.locality, 0.0) + value
-        return dict(sorted(out.items()))
+        """Locality index → summed current reading matching ``pattern``
+        (see :meth:`CounterSnapshot.per_locality`)."""
+        return self.snapshot().per_locality(pattern)
 
     def __contains__(self, name: str) -> bool:
         try:

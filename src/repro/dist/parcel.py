@@ -64,26 +64,13 @@ registry; catalogued in docs/distributed.md and docs/resilience.md):
   locality has sent that are still in flight
 - ``/parcels{locality#N/total}/count/dead-letters-dropped`` — dead letters
   evicted from the bounded ring (oldest first) once it filled
+- ``/parcels{locality#N/total}/count/unacked-high-water@gauge`` — peak
+  distinct unacked parcels to any one destination (retry only)
 
-Two further opt-in layers (:mod:`repro.overload`) gate the send path, and
-register an ``/overload{locality#N/total}`` counter family when enabled
-(catalogued in docs/overload.md):
-
-- **credit-based flow control** (:class:`repro.overload.config.
-  CreditParams`): at most ``window`` distinct unacked parcels per
-  destination; further sends park in a per-destination waiting lane until
-  an ack or declared loss returns the credit.  A parcel holds one credit
-  from its first wire copy to its ack/loss — retransmissions ride the
-  same credit.
-- **per-link circuit breakers** (:class:`repro.overload.breaker.
-  BreakerParams`): consecutive ack-timeouts open the link; while open,
-  sends and retransmits park (no wire copies — this is what caps the
-  retransmission storm) or, with ``fail_fast``, new sends raise
-  :class:`~repro.overload.errors.CircuitOpenError`.  A half-open probe
-  with seeded jitter restores the link.
-
-Both require :class:`RetryParams` — acks are what return credits and
-detect failures.
+Opt-in layers (:mod:`repro.dist.layer`) hook into the protocol steps
+through the port's ``layers`` tuple.  A copy a layer holds back (the
+credit/breaker gate) waits in a per-destination FIFO lane, with no wire
+copy, until :meth:`Parcelport._pump` finds the gate open again.
 
 Conservation: once nothing is in flight, ``sent + retransmitted ==
 received + dropped + duplicates-discarded`` over the whole system (every
@@ -97,16 +84,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.counters.registry import CounterRegistry
+from repro.dist.layer import Layer, implementers
 from repro.dist.network import NetworkModel
 from repro.faults.plan import FaultInjector, stream_unit
 from repro.faults.transport import RetryParams
-from repro.faults.errors import FencedEpochError
-from repro.overload.breaker import BreakerParams, BreakerState, CircuitBreaker
-from repro.overload.config import CreditParams
-from repro.overload.errors import CircuitOpenError
 from repro.sim.engine import Event, Simulator
 
 #: role tag for the retransmit-jitter stream (see repro.faults.plan)
@@ -161,6 +145,10 @@ class Parcelport:
     restart at 1 for each fresh runtime, so receiver-side dedup bookkeeping
     can never be confused by ids bleeding across independent runtimes (or
     across tests).  A standalone port builds its own counter.
+
+    ``layers`` are the opt-in layers hooked into this port's protocol
+    steps (:mod:`repro.dist.layer`); assigning the attribute re-derives
+    which layers each hook dispatches to.
     """
 
     def __init__(
@@ -174,15 +162,9 @@ class Parcelport:
         injector: FaultInjector | None = None,
         retry: RetryParams | None = None,
         seed: int = 0,
-        credits: CreditParams | None = None,
-        breaker: BreakerParams | None = None,
         dead_letter_capacity: int = 1024,
+        layers: Sequence[Layer] = (),
     ) -> None:
-        if (credits is not None or breaker is not None) and retry is None:
-            raise ValueError(
-                "credit flow control and circuit breakers require RetryParams:"
-                " acks are what return credits and detect link failures"
-            )
         if dead_letter_capacity < 1:
             raise ValueError("dead_letter_capacity must be >= 1")
         self.locality = locality
@@ -190,20 +172,12 @@ class Parcelport:
         self.network = network
         self._ids = id_source if id_source is not None else itertools.count(1)
         self._injector = injector
-        self._retry = retry
+        self.retry = retry
         self._seed = seed
-        self._credits = credits
-        self._breaker_params = breaker
         self._peers: dict[int, "Parcelport"] = {locality: self}
         self._outgoing_in_flight = 0
-        self._halted = False
-        #: tail-tolerance manager (repro.tail), attached by the DistRuntime
-        #: after construction; None leaves every send path untouched
-        self._tail = None
-        #: parcel_id -> armed hedge timer (first unacked copy only)
-        self._hedge_timers: dict[int, Event] = {}
-        #: parcel_id -> first wire-dispatch time, for ack-RTT sketches
-        self._sent_at: dict[int, int] = {}
+        self.halted = False
+        self.layers = layers
         #: (source, parcel_id) of every parcel delivered here (dedup)
         self._delivered: set[tuple[int, int]] = set()
         #: parcel_id -> (timeout event, parcel, attempt) awaiting an ack
@@ -214,24 +188,15 @@ class Parcelport:
         self._dead_letters: deque[Parcel] = deque()
         self._dead_letter_capacity = dead_letter_capacity
         self._dead_letters_dropped = 0
-        #: per-destination lazily created breakers (order of creation is
-        #: deterministic: first send to a destination creates its breaker)
-        self._breakers: dict[int, CircuitBreaker] = {}
         #: per-destination parked sends: (parcel, on_delivered, on_lost,
         #: attempt, wire_ready_ns, parked_ns, reason)
         self._waiting: dict[int, deque[tuple]] = {}
-        #: credit ledger, maintained whenever retry is armed (so a baseline
-        #: run can report its unacked high-water mark): parcel_id -> dest,
-        #: dest -> live unacked count, dest -> high-water mark
+        #: unacked ledger, maintained whenever retry is armed (a credit
+        #: gate reads it; a baseline run reports its high-water mark):
+        #: parcel_id -> dest, dest -> live unacked count, dest -> peak
         self._unacked_dest: dict[int, int] = {}
         self._unacked_count: dict[int, int] = {}
         self._unacked_hwm: dict[int, int] = {}
-        self._credit_wait_ns = 0
-        self._credit_waits = 0
-        self._breaker_wait_ns = 0
-        self._breaker_deferred = 0
-        self._fast_failures = 0
-        self._breaker_transitions = 0
         prefix = f"/parcels{{locality#{locality}/total}}"
         self._c_sent = registry.raw(f"{prefix}/count/sent", "parcels sent")
         self._c_received = registry.raw(
@@ -285,60 +250,33 @@ class Parcelport:
             lambda: float(self._dead_letters_dropped),
             "dead letters evicted from the bounded ring",
         )
-        if credits is not None or breaker is not None:
-            oprefix = f"/overload{{locality#{locality}/total}}"
-            registry.derived(
-                f"{oprefix}/count/credit-waits",
-                lambda: float(self._credit_waits),
-                "sends parked waiting for a flow-control credit",
-            )
-            registry.derived(
-                f"{oprefix}/time/credits-exhausted",
-                lambda: float(self._credit_wait_ns),
-                "cumulative time sends spent parked on credits (ns)",
-            )
-            registry.derived(
-                f"{oprefix}/count/breaker-deferred",
-                lambda: float(self._breaker_deferred),
-                "wire copies parked behind an open circuit breaker",
-            )
-            registry.derived(
-                f"{oprefix}/time/breaker-deferred",
-                lambda: float(self._breaker_wait_ns),
-                "cumulative time copies spent parked behind a breaker (ns)",
-            )
-            registry.derived(
-                f"{oprefix}/count/breaker-transitions",
-                lambda: float(self._breaker_transitions),
-                "circuit-breaker state transitions on this locality's links",
-            )
-            registry.derived(
-                f"{oprefix}/count/breaker-fast-failures",
-                lambda: float(self._fast_failures),
-                "sends rejected with CircuitOpenError (fail_fast breakers)",
-            )
-            registry.value(
-                f"{oprefix}/count/waiting-sends@gauge",
-                "sends currently parked (credits or breaker)",
-                source=lambda: float(self.waiting_sends),
-            )
+        registry.value(
+            f"{prefix}/count/unacked-high-water@gauge",
+            "peak distinct unacked parcels to any one destination",
+            source=lambda: float(max(self._unacked_hwm.values(), default=0)),
+        )
+
+    @property
+    def layers(self) -> tuple[Layer, ...]:
+        return self._layers
+
+    @layers.setter
+    def layers(self, layers: Sequence[Layer]) -> None:
+        self._layers = tuple(layers)
+        self._send_layers = implementers(self._layers, "on_send")
+        self._hold_layers = implementers(self._layers, "hold")
+        self._park_layers = implementers(self._layers, "on_park")
+        self._unpark_layers = implementers(self._layers, "on_unpark")
+        self._transmit_layers = implementers(self._layers, "on_transmit")
+        self._arrive_layers = implementers(self._layers, "on_arrive")
+        self._ack_layers = implementers(self._layers, "on_ack")
+        self._timeout_layers = implementers(self._layers, "on_timeout")
+        self._settle_layers = implementers(self._layers, "on_settle")
+        self._halt_layers = implementers(self._layers, "on_halt")
 
     def connect(self, ports: dict[int, "Parcelport"]) -> None:
         """Wire this port to its peers (DistRuntime calls this once)."""
         self._peers = dict(ports)
-
-    def attach_tail(self, tail) -> None:
-        """Enable the tail-tolerance hooks (hedging, fencing, RTT sketches).
-
-        Called by the DistRuntime when ``DistConfig.tail`` is set; requires
-        the retry protocol — hedging rides the ack/dedup ledger.
-        """
-        if self._retry is None:
-            raise ValueError(
-                "tail tolerance requires RetryParams: hedge copies are "
-                "deduplicated and settled by the ack protocol"
-            )
-        self._tail = tail
 
     # -- sending ------------------------------------------------------------
 
@@ -374,37 +312,12 @@ class Parcelport:
             raise KeyError(
                 f"locality {self.locality} has no route to {destination}"
             )
-        tail = self._tail
-        if tail is not None and tail.is_fenced(self.locality):
-            # A declared locality that "came back" must not commit stale
-            # results: rejected before any counter is booked, like a
-            # breaker fast-failure.
-            current = tail.epoch_of(self.locality)
-            raise FencedEpochError(
-                self.locality,
-                current - 1,
-                current,
-                detail=f"send to locality {destination} rejected",
-            )
-        params = self._breaker_params
-        if params is not None and params.fail_fast:
-            br = self._breakers.get(destination)
-            if br is not None and not br.allows_send():
-                # Rejected before any counter is booked: a fast-failed send
-                # never existed as far as conservation is concerned.
-                self._fast_failures += 1
-                raise CircuitOpenError(
-                    self.locality,
-                    destination,
-                    opened_at_ns=br.opened_at_ns,
-                    consecutive_failures=br.consecutive_failures,
-                )
         if payload_bytes is None:
             payload_bytes = self.network.params.default_payload_bytes
         serialize_ns = self.network.serialization_ns(payload_bytes)
         now = self.sim.now
         parcel = Parcel(
-            parcel_id=next(self._ids),
+            parcel_id=0,
             source=self.locality,
             destination=destination,
             payload=payload,
@@ -413,8 +326,14 @@ class Parcelport:
             ready_ns=now,
             departed_ns=now + resolve_ns + serialize_ns,
             is_error=is_error,
-            epoch=tail.epoch_of(self.locality) if tail is not None else 0,
         )
+        # A layer may reject the send (a fenced epoch, a fail-fast breaker)
+        # or stamp it.  The id is drawn only afterwards: ids key the fault
+        # streams, so a rejected send must not consume one, and it books no
+        # counter — it never existed as far as conservation is concerned.
+        for layer in self._send_layers:
+            layer.on_send(self, parcel)
+        parcel.parcel_id = next(self._ids)
         self._c_sent.increment()
         self._c_bytes_sent.increment(parcel.wire_bytes)
         self._c_serialization.increment(serialize_ns)
@@ -427,7 +346,7 @@ class Parcelport:
         )
         return parcel
 
-    # -- the gated dispatch pipeline (breaker, then credits, then wire) -----
+    # -- the gated dispatch pipeline (layers' holds, then the wire) ---------
 
     def _send_copy(
         self,
@@ -444,22 +363,21 @@ class Parcelport:
         a retransmission's buffer is ready immediately).  Parking preserves
         it, so a parked fresh send still pays its encoding latency.
         """
-        destination = parcel.destination
-        if self._breaker_params is not None:
-            br: CircuitBreaker | None = self._breaker_for(destination)
-        else:
-            br = None
-        if br is not None and not br.allows_send():
+        reason = self._hold(parcel)
+        if reason is not None:
             self._park(
-                parcel, on_delivered, on_lost, attempt, wire_ready_ns, "breaker"
+                parcel, on_delivered, on_lost, attempt, wire_ready_ns, reason
             )
             return
-        if self._needs_credit(parcel) and not self._credit_available(destination):
-            self._park(
-                parcel, on_delivered, on_lost, attempt, wire_ready_ns, "credit"
-            )
-            return
-        self._wire_dispatch(parcel, on_delivered, on_lost, attempt, wire_ready_ns, br)
+        self._wire_dispatch(parcel, on_delivered, on_lost, attempt, wire_ready_ns)
+
+    def _hold(self, parcel: Parcel) -> str | None:
+        """The first layer's reason to park ``parcel`` now, or None."""
+        for layer in self._hold_layers:
+            reason = layer.hold(self, parcel)
+            if reason is not None:
+                return reason
+        return None
 
     def _wire_dispatch(
         self,
@@ -468,12 +386,9 @@ class Parcelport:
         on_lost: LostFn | None,
         attempt: int,
         wire_ready_ns: int,
-        br: CircuitBreaker | None,
     ) -> None:
         if attempt > 0:
             self._c_retransmitted.increment()
-        if br is not None:
-            br.note_dispatch()
         head = wire_ready_ns - self.sim.now
         self._transmit(
             self._peers[parcel.destination],
@@ -483,18 +398,6 @@ class Parcelport:
             attempt,
             head_delay_ns=head if head > 0 else 0,
         )
-
-    def _needs_credit(self, parcel: Parcel) -> bool:
-        """A parcel takes one credit with its first copy and keeps it until
-        acked or declared lost; retransmissions ride the same credit."""
-        return (
-            self._credits is not None
-            and parcel.parcel_id not in self._unacked_dest
-        )
-
-    def _credit_available(self, destination: int) -> bool:
-        assert self._credits is not None
-        return self._unacked_count.get(destination, 0) < self._credits.window
 
     def _park(
         self,
@@ -512,57 +415,28 @@ class Parcelport:
             (parcel, on_delivered, on_lost, attempt, wire_ready_ns,
              self.sim.now, reason)
         )
-        if reason == "credit":
-            self._credit_waits += 1
-        else:
-            self._breaker_deferred += 1
+        for layer in self._park_layers:
+            layer.on_park(self, reason)
 
     def _pump(self, destination: int) -> None:
-        """Dispatch parked copies while the gates allow it (FIFO per link)."""
+        """Dispatch parked copies while the layers allow it (FIFO per link)."""
         lane = self._waiting.get(destination)
-        if not lane or self._halted:
+        if not lane or self.halted:
             return
-        br = self._breakers.get(destination)
         while lane:
-            if br is not None and not br.allows_send():
-                return
             head = lane[0]
-            parcel = head[0]
-            if self._needs_credit(parcel) and not self._credit_available(
-                destination
-            ):
+            if self._hold(head[0]) is not None:
                 return
             lane.popleft()
-            _p, on_delivered, on_lost, attempt, wire_ready_ns, parked_ns, reason = head
+            parcel, on_delivered, on_lost, attempt, wire_ready_ns, parked_ns, reason = head
             waited = self.sim.now - parked_ns
-            if reason == "credit":
-                self._credit_wait_ns += waited
-            else:
-                self._breaker_wait_ns += waited
+            for layer in self._unpark_layers:
+                layer.on_unpark(self, reason, waited)
             self._wire_dispatch(
-                parcel, on_delivered, on_lost, attempt, wire_ready_ns, br
+                parcel, on_delivered, on_lost, attempt, wire_ready_ns
             )
 
-    def _breaker_for(self, destination: int) -> CircuitBreaker:
-        br = self._breakers.get(destination)
-        if br is None:
-            assert self._breaker_params is not None
-            br = CircuitBreaker(
-                self._breaker_params,
-                self.sim,
-                seed=self._seed,
-                source=self.locality,
-                destination=destination,
-                on_half_open=lambda d=destination: self._pump(d),
-                on_transition=self._note_transition,
-            )
-            self._breakers[destination] = br
-        return br
-
-    def _note_transition(self, _old: BreakerState, _new: BreakerState) -> None:
-        self._breaker_transitions += 1
-
-    def _transfer_ns(self, destination: int, payload_bytes: int) -> int:
+    def transfer_ns(self, destination: int, payload_bytes: int) -> int:
         """Wire time for one copy, degradation windows applied at ``now``."""
         base = self.network
         if self._injector is None:
@@ -588,8 +462,13 @@ class Parcelport:
         attempt: int,
         head_delay_ns: int,
     ) -> None:
-        """Put one wire copy of ``parcel`` on the network (attempt N)."""
-        transfer_ns = self._transfer_ns(peer.locality, parcel.payload_bytes)
+        """Put one wire copy of ``parcel`` on the network (attempt N).
+
+        Events are scheduled in a fixed order — arrival or drop, the
+        injected duplicate, the retry timeout, then the layers' own (a
+        hedge timer) — because equal timestamps fire in schedule order.
+        """
+        transfer_ns = self.transfer_ns(peer.locality, parcel.payload_bytes)
         self._outgoing_in_flight += 1
         injector = self._injector
         if injector is not None and injector.drops(parcel.parcel_id, attempt):
@@ -599,21 +478,18 @@ class Parcelport:
         else:
             self.sim.schedule(
                 head_delay_ns + transfer_ns,
-                lambda: self._arrive(peer, parcel, on_delivered),
+                lambda: self.arrive(peer, parcel, on_delivered),
             )
         if injector is not None and injector.duplicates(
             parcel.parcel_id, attempt
         ):
-            # A spurious second copy: booked as a retransmission (that is
-            # what it is, accounting-wise) and deduplicated at the receiver.
-            self._c_retransmitted.increment()
-            self._outgoing_in_flight += 1
-            self.sim.schedule(
+            # A spurious second copy, deduplicated at the receiver.
+            self.extra_copy(
                 head_delay_ns + transfer_ns,
-                lambda: self._arrive(peer, parcel, on_delivered),
+                lambda: self.arrive(peer, parcel, on_delivered),
             )
-        if self._retry is not None:
-            timeout_ns = self._retry.timeout_ns(attempt) + self._jitter_ns(
+        if self.retry is not None:
+            timeout_ns = self.retry.timeout_ns(attempt) + self._jitter_ns(
                 parcel.parcel_id, attempt
             )
             event = self.sim.schedule(
@@ -630,79 +506,31 @@ class Parcelport:
                 self._unacked_count[dest] = count
                 if count > self._unacked_hwm.get(dest, 0):
                     self._unacked_hwm[dest] = count
-            tail = self._tail
-            if tail is not None and attempt == 0:
-                self._sent_at[parcel.parcel_id] = self.sim.now
-                delay = tail.hedge_delay_ns(self.locality, peer.locality)
-                if delay is not None:
-                    self._hedge_timers[parcel.parcel_id] = self.sim.schedule(
-                        head_delay_ns + delay,
-                        lambda: self._hedge(peer, parcel, on_delivered),
-                    )
-                    tail.note_hedge_armed(self.locality)
+        for layer in self._transmit_layers:
+            layer.on_transmit(
+                self, peer, parcel, attempt, head_delay_ns, on_delivered
+            )
+
+    def extra_copy(self, delay_ns: int, land: Callable[[], Any]) -> None:
+        """Put one more wire copy on the network; ``land`` fires on arrival.
+
+        Booked as a retransmission — that is what it is, accounting-wise —
+        and deduplicated at the receiver, so conservation holds unchanged.
+        Injected duplicates and hedge copies both ride this.
+        """
+        self._c_retransmitted.increment()
+        self._outgoing_in_flight += 1
+        self.sim.schedule(delay_ns, land)
 
     def _jitter_ns(self, parcel_id: int, attempt: int) -> int:
-        assert self._retry is not None
-        cap = self._retry.max_jitter_ns
+        assert self.retry is not None
+        cap = self.retry.max_jitter_ns
         if cap <= 0:
             return 0
         return int(
             stream_unit(self._seed, _ROLE_JITTER, parcel_id, attempt)
             * (cap + 1)
         )
-
-    # -- hedged parcels (repro.tail) ----------------------------------------
-
-    def _hedge(self, peer: "Parcelport", parcel: Parcel,
-               on_delivered: DeliveryFn) -> None:
-        """The hedging delay elapsed with no ack: send an insurance copy.
-
-        Booked exactly like an injected duplicate — an extra wire copy,
-        counted ``retransmitted``, deduplicated at the receiver — so PF401
-        conservation holds unchanged.  The copy is not subject to injected
-        drops: it models an independent alternate path, and sampling the
-        drop stream again would perturb the fates of unrelated parcels.
-        First delivery wins; the loser is discarded by the (source, id)
-        dedup ledger and its ack settles the same retry timer.
-        """
-        self._hedge_timers.pop(parcel.parcel_id, None)
-        if self._halted or parcel.parcel_id not in self._awaiting:
-            return
-        tail = self._tail
-        tail.note_hedge_sent(self.locality)
-        self._c_retransmitted.increment()
-        self._outgoing_in_flight += 1
-        transfer_ns = self._transfer_ns(peer.locality, parcel.payload_bytes)
-        self.sim.schedule(
-            transfer_ns,
-            lambda: self._hedge_arrive(peer, parcel, on_delivered),
-        )
-
-    def _discard_hedge_state(self, parcel_id: int) -> None:
-        """Settle hedge bookkeeping for a parcel leaving the retry protocol.
-
-        An armed-but-unfired timer is cancelled and counted so the
-        ``armed == sent + cancelled`` ledger stays exact whether the parcel
-        was acked, declared lost, abandoned, or its sender halted.
-        """
-        timer = self._hedge_timers.pop(parcel_id, None)
-        if timer is not None:
-            timer.cancel()
-            if self._tail is not None:
-                self._tail.note_hedge_cancelled(self.locality)
-        self._sent_at.pop(parcel_id, None)
-
-    def _hedge_arrive(self, peer: "Parcelport", parcel: Parcel,
-                      on_delivered: DeliveryFn) -> None:
-        """Deliver the hedge copy, settling the won/lost ledger."""
-        key = (parcel.source, parcel.parcel_id)
-        fresh = key not in peer._delivered
-        self._arrive(peer, parcel, on_delivered)
-        if fresh and key in peer._delivered:
-            self._tail.note_hedge_won(self.locality)
-        else:
-            # Beaten by the original (deduplicated), or the peer died.
-            self._tail.note_hedge_lost(self.locality)
 
     # -- the wire's three outcomes ------------------------------------------
 
@@ -716,52 +544,54 @@ class Parcelport:
     def _drop_on_wire(self, parcel: Parcel) -> None:
         self._outgoing_in_flight -= 1
         self._c_dropped.increment()
-        if self._retry is None:
+        if self.retry is None:
             self._dead_letter(parcel)
 
-    def _arrive(
+    def arrive(
         self, peer: "Parcelport", parcel: Parcel, on_delivered: DeliveryFn
-    ) -> None:
+    ) -> bool:
+        """Land one wire copy at ``peer``; True when it delivered the parcel.
+
+        A copy reaching a halted peer, or one a layer rejects (a fenced
+        epoch), is booked ``dropped`` on this sending side; a copy of an
+        already-delivered parcel is a discarded duplicate.
+        """
         self._outgoing_in_flight -= 1
-        if peer._halted:
+        if peer.halted:
             # A crashed locality receives nothing; the copy is gone.
             self._c_dropped.increment()
-            if self._retry is None:
+            if self.retry is None:
                 self._dead_letter(parcel)
-            return
-        tail = self._tail
-        if tail is not None and tail.is_stale(parcel.source, parcel.epoch):
-            # Partition fence: the sender was declared dead after this copy
-            # departed; committing it would resurrect a superseded epoch.
-            # Booked as a drop on the sending side (the same fate as a copy
-            # arriving at a crashed peer), so conservation stays exact.
-            self._c_dropped.increment()
-            tail.note_fenced_rejection(parcel.source)
-            return
+            return False
+        for layer in self._arrive_layers:
+            if layer.on_arrive(self, parcel):
+                self._c_dropped.increment()
+                return False
         key = (parcel.source, parcel.parcel_id)
         if key in peer._delivered:
             peer._c_duplicates.increment()
-            if self._retry is not None:
+            if self.retry is not None:
                 # Re-ack: the sender may still be running a retry timer for
                 # a copy whose first ack it has not seen yet.
                 peer._schedule_ack(self, parcel)
-            return
+            return False
         peer._delivered.add(key)
         parcel.delivered_ns = self.sim.now
         peer._c_received.increment()
         peer._c_bytes_received.increment(parcel.wire_bytes)
         peer._c_network_wait.increment(parcel.in_flight_ns)
-        if self._retry is not None:
+        if self.retry is not None:
             peer._schedule_ack(self, parcel)
         on_delivered(parcel)
+        return True
 
     # -- the ack / timeout / retransmit protocol ----------------------------
 
     def _schedule_ack(self, sender: "Parcelport", parcel: Parcel) -> None:
         """Acknowledge a received copy over the reverse link."""
-        assert self._retry is not None
+        assert self.retry is not None
         delay = self.network.transfer_ns(
-            self.locality, sender.locality, self._retry.ack_bytes
+            self.locality, sender.locality, self.retry.ack_bytes
         )
         self.sim.schedule(delay, lambda: sender._on_ack(parcel.parcel_id))
 
@@ -769,23 +599,10 @@ class Parcelport:
         entry = self._awaiting.pop(parcel_id, None)
         if entry is not None:
             entry[0].cancel()
-            tail = self._tail
-            if tail is not None:
-                timer = self._hedge_timers.pop(parcel_id, None)
-                if timer is not None:
-                    timer.cancel()
-                    tail.note_hedge_cancelled(self.locality)
-                sent = self._sent_at.pop(parcel_id, None)
-                if sent is not None:
-                    tail.note_ack_rtt(
-                        self.locality, entry[1].destination,
-                        self.sim.now - sent,
-                    )
             destination = self._release_unacked(parcel_id)
+            for layer in self._ack_layers:
+                layer.on_ack(self, entry[1])
             if destination is not None:
-                br = self._breakers.get(destination)
-                if br is not None:
-                    br.record_success()
                 self._pump(destination)
 
     def _release_unacked(self, parcel_id: int) -> int | None:
@@ -804,17 +621,17 @@ class Parcelport:
         attempt: int,
         timeout_ns: int,
     ) -> None:
-        assert self._retry is not None
+        assert self.retry is not None
         self._awaiting.pop(parcel.parcel_id, None)
-        if self._halted:
+        if self.halted:
             return
         self._c_backoff.increment(timeout_ns)
-        br = self._breakers.get(parcel.destination)
-        if br is not None:
-            br.record_failure()
-        if attempt >= self._retry.max_retries:
+        for layer in self._timeout_layers:
+            layer.on_timeout(self, parcel)
+        if attempt >= self.retry.max_retries:
             attempts = attempt + 1
-            self._discard_hedge_state(parcel.parcel_id)
+            for layer in self._settle_layers:
+                layer.on_settle(self, parcel)
             destination = self._release_unacked(parcel.parcel_id)
             if on_lost is not None:
                 on_lost(parcel, attempts)
@@ -844,18 +661,15 @@ class Parcelport:
         """Fail-stop this port: cancel every retry timer, send nothing more.
 
         Copies already on the wire still arrive (the bytes had left the
-        node); incoming copies are dropped by :meth:`_arrive` checking the
+        node); incoming copies are dropped by :meth:`arrive` checking the
         receiver's halted flag.
         """
-        self._halted = True
+        self.halted = True
         for event, _parcel, _attempt in self._awaiting.values():
             event.cancel()
         self._awaiting.clear()
-        for pid in list(self._hedge_timers):
-            self._discard_hedge_state(pid)
-        self._sent_at.clear()
-        for br in self._breakers.values():
-            br.halt()
+        for layer in self._halt_layers:
+            layer.on_halt(self)
         self._waiting.clear()
 
     def abandon_destination(self, destination: int) -> int:
@@ -868,7 +682,7 @@ class Parcelport:
 
         Accounting: an in-flight copy's retry timer is cancelled without
         booking a fate — the copy itself still terminates at
-        :meth:`_arrive` against the halted peer, where it is counted
+        :meth:`arrive` against the halted peer, where it is counted
         ``dropped``, keeping the sent/received/dropped conservation exact.
         A parked *fresh* send (attempt 0) was counted ``sent`` but never
         produced a wire copy, so it is booked ``dropped`` here; a parked
@@ -881,9 +695,10 @@ class Parcelport:
             if parcel.destination == destination
         ]
         for pid in stale:
-            event, _parcel, _attempt = self._awaiting.pop(pid)
+            event, parcel, _attempt = self._awaiting.pop(pid)
             event.cancel()
-            self._discard_hedge_state(pid)
+            for layer in self._settle_layers:
+                layer.on_settle(self, parcel)
             self._release_unacked(pid)
             abandoned += 1
         lane = self._waiting.pop(destination, None)
@@ -912,6 +727,10 @@ class Parcelport:
         """Dead letters the bounded ring has evicted (oldest first)."""
         return self._dead_letters_dropped
 
+    def is_awaiting(self, parcel_id: int) -> bool:
+        """Does ``parcel_id`` have a live retransmit timer?"""
+        return parcel_id in self._awaiting
+
     @property
     def awaiting_ack(self) -> tuple[tuple[Parcel, int], ...]:
         """(parcel, attempt) pairs with a live retransmit timer."""
@@ -935,33 +754,10 @@ class Parcelport:
         """Peak distinct unacked parcels to ``destination`` (retry only)."""
         return self._unacked_hwm.get(destination, 0)
 
-    @property
-    def max_unacked_in_flight(self) -> int:
-        """Peak unacked parcels over all destinations; bounded by the
-        credit window when flow control is on."""
-        return max(self._unacked_hwm.values(), default=0)
+    def unacked_to(self, destination: int) -> int:
+        """Distinct parcels to ``destination`` sent but not yet acked."""
+        return self._unacked_count.get(destination, 0)
 
-    @property
-    def breakers(self) -> dict[int, CircuitBreaker]:
-        """Live breakers by destination (read-only view by convention)."""
-        return self._breakers
-
-    @property
-    def breaker_transitions(self) -> int:
-        """Total breaker state transitions on this locality's links."""
-        return self._breaker_transitions
-
-    @property
-    def credits_exhausted_ns(self) -> int:
-        """Cumulative simulated time sends spent parked on credits."""
-        return self._credit_wait_ns
-
-    @property
-    def sends_deferred(self) -> int:
-        """Sends that ever parked (credit waits + breaker deferrals)."""
-        return self._credit_waits + self._breaker_deferred
-
-    @property
-    def fast_failures(self) -> int:
-        """Sends rejected with :class:`CircuitOpenError` (fail_fast)."""
-        return self._fast_failures
+    def holds_unacked(self, parcel_id: int) -> bool:
+        """Is ``parcel_id`` in the unacked ledger (first copy sent)?"""
+        return parcel_id in self._unacked_dest

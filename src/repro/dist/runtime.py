@@ -25,6 +25,11 @@ distributed registry owned by this facade holds the cross-locality view —
 parcel and AGAS counters plus mirrored thread counters — all addressed with
 first-class ``locality#N`` prefixes, so ``locality#*`` wildcard queries
 aggregate across the system (``CounterRegistry.total`` / ``per_locality``).
+:class:`DistRunResult` reads every number it reports from those counters.
+
+Opt-in layers — crash recovery, tail tolerance, the credit/breaker gate —
+hook in through :mod:`repro.dist.layer`: the runtime and each parcelport
+hold a ``layers`` tuple and call a hook only on the layers overriding it.
 """
 
 from __future__ import annotations
@@ -34,10 +39,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
-from repro.counters.registry import CounterRegistry, CounterSnapshot
+from repro.counters.registry import CounterRegistry
 from repro.dist.agas import AgasCache, AgasParams, AgasService, GlobalId
+from repro.dist.layer import Layer, implementers
 from repro.dist.network import NetworkModel
 from repro.dist.parcel import Parcel, Parcelport
+from repro.dist.result import DistRunResult
 from repro.faults.errors import (
     LocalityCrashError,
     ParcelLostError,
@@ -47,7 +54,6 @@ from repro.faults.plan import FaultInjector, FaultPlan
 from repro.faults.transport import RetryParams
 from repro.overload.config import OverloadConfig
 from repro.recovery.config import RecoveryConfig
-from repro.recovery.manager import RecoveryManager
 from repro.runtime.future import Future
 from repro.runtime.runtime import Runtime, RuntimeConfig
 from repro.runtime.sim_executor import DeadlockError
@@ -57,7 +63,6 @@ from repro.schedulers.base import SchedulingPolicy
 from repro.sim.engine import Simulator
 from repro.sim.platforms import PlatformSpec, get_platform
 from repro.tail.config import TailConfig
-from repro.tail.manager import TailManager
 
 
 @dataclass(frozen=True)
@@ -190,17 +195,17 @@ class DistConfig:
             )
         if self.faults is not None:
             n = self.num_localities
-            for s in self.faults.stragglers:
-                if s.locality >= n:
+            plan = self.faults
+            for what, index in (
+                *(("straggler locality", s.locality) for s in plan.stragglers),
+                *(("crash locality", c.locality) for c in plan.crashes),
+                *(("degraded link endpoint", end)
+                  for d in plan.degradations for end in (d.src, d.dst)
+                  if end is not None),
+            ):
+                if index >= n:
                     raise ValueError(
-                        f"straggler locality {s.locality} outside this "
-                        f"{n}-locality runtime"
-                    )
-            for c in self.faults.crashes:
-                if c.locality >= n:
-                    raise ValueError(
-                        f"crash locality {c.locality} outside this "
-                        f"{n}-locality runtime"
+                        f"{what} {index} outside this {n}-locality runtime"
                     )
 
     def resolve_platform(self) -> PlatformSpec:
@@ -224,187 +229,16 @@ class DistConfig:
         )
 
 
-@dataclass(frozen=True)
-class DistRunResult:
-    """Outcome of one completed distributed run.
-
-    ``counters`` is the distributed registry's snapshot (parcels, AGAS,
-    mirrored per-locality thread counters); ``per_locality`` holds each
-    locality's own registry snapshot.  The scalar fields pre-aggregate the
-    quantities figD and the tests consume.
-    """
-
-    execution_time_ns: int
-    counters: CounterSnapshot
-    per_locality: tuple[CounterSnapshot, ...]
-    platform_name: str
-    num_localities: int
-    cores_per_locality: int
-    tasks_executed: int
-    parcels_sent: int
-    parcels_received: int
-    bytes_sent: int
-    serialization_time_ns: int
-    network_wait_ns: int
-    agas_cache_hits: int
-    agas_cache_misses: int
-    #: sum over localities of per-worker task execution time
-    total_exec_ns: int
-    #: sum over localities of per-worker management time
-    total_mgmt_ns: int
-    #: -- resilience accounting (all zero on a fault-free reliable run) -----
-    parcels_dropped: int = 0
-    parcels_retransmitted: int = 0
-    duplicates_discarded: int = 0
-    retry_backoff_ns: int = 0
-    parcels_recovered: int = 0
-    recovery_ns: int = 0
-    crashed_localities: tuple[int, ...] = ()
-    #: -- overload accounting (all zero with overload control off) ----------
-    #: tasks rejected by admission control, summed over localities
-    tasks_shed: int = 0
-    #: sends that ever parked behind a credit or breaker gate
-    sends_deferred: int = 0
-    #: cumulative simulated time sends spent parked on credits
-    credits_exhausted_ns: int = 0
-    #: peak distinct unacked parcels on any (source, destination) link
-    max_unacked_in_flight: int = 0
-    #: circuit-breaker state transitions, summed over localities
-    breaker_transitions: int = 0
-    #: dead letters evicted from the bounded rings
-    dead_letters_dropped: int = 0
-    #: -- crash-recovery accounting (all zero with crash_recovery=None) -----
-    #: localities declared dead by the heartbeat failure detector
-    crashes_detected: int = 0
-    #: heartbeats emitted across all localities
-    heartbeats_sent: int = 0
-    #: checkpoint writes completed across all localities
-    checkpoints_taken: int = 0
-    #: task results made durable on a survivor replica
-    tasks_checkpointed: int = 0
-    #: dead localities' results restored from the replicated store
-    tasks_restored: int = 0
-    #: dead localities' tasks re-executed from lineage on survivors
-    tasks_reexecuted: int = 0
-    #: tasks a declared crash lost (not durable at declaration time);
-    #: conservation: every lost task is re-executed, so this equals
-    #: ``tasks_reexecuted`` once a recovered run completes
-    tasks_lost: int = 0
-    #: sends to a declared-dead locality abandoned instead of retried
-    parcels_failed_fast: int = 0
-    #: crash-to-declaration time, summed over declared crashes (ns)
-    detection_ns: int = 0
-    #: declaration-to-restored time, summed over declared crashes (ns)
-    restore_ns: int = 0
-    #: restore-to-last-replacement time, summed over declared crashes (ns)
-    reexecution_ns: int = 0
-    #: crash-to-recovered total; equals detection + restore + reexecution
-    recovery_total_ns: int = 0
-    #: application tasks that ran to completion, recovery bookkeeping
-    #: (checkpoint writes, redundant re-executions) subtracted out; on a
-    #: recovered run this equals the crash-free run's task count
-    app_tasks_completed: int = 0
-    #: -- tail-tolerance accounting (all zero with tail=None) ----------------
-    #: localities the gray detector currently flags degraded (end of run)
-    localities_degraded: int = 0
-    #: healthy -> degraded transitions observed over the whole run
-    degraded_events: int = 0
-    #: hedge timers armed on unacked sends
-    hedges_armed: int = 0
-    #: hedge copies actually put on the wire (timer fired before the ack)
-    hedges_sent: int = 0
-    #: hedge copies that delivered first (the original was still in flight)
-    hedges_won: int = 0
-    #: hedge copies beaten by the original and deduplicated on arrival
-    hedges_lost: int = 0
-    #: hedge timers cancelled by an ack (or teardown) before firing
-    hedges_cancelled: int = 0
-    #: tasks of a degraded locality cloned onto a healthy survivor
-    tasks_speculated: int = 0
-    #: clones that completed before their original (first-completion-wins)
-    speculation_wins: int = 0
-    #: clones called off: the original won, or the clone itself failed
-    speculations_cancelled: int = 0
-    #: original tasks successfully cancelled after their clone won
-    originals_cancelled: int = 0
-    #: speculation budget at end of run (``max_speculation_frac`` applied)
-    speculation_budget: int = 0
-    #: stale-epoch parcels from fenced localities rejected on arrival
-    fenced_rejections: int = 0
-
-    def assert_parcels_conserved(self) -> None:
-        """Every wire copy must meet exactly one fate.
-
-        ``sent + retransmitted`` counts copies put on the wire;
-        ``received + dropped + duplicates-discarded`` counts copies taken
-        off it.  The check itself lives in the shared invariant catalogue
-        (:data:`repro.verify.invariants.PARCELS_CONSERVED`, rule PF401);
-        this method stays as the assert-style spelling with the identical
-        failure message.
-        """
-        # Imported lazily: repro.verify lowers workloads through this module.
-        from repro.verify.invariants import PARCELS_CONSERVED
-
-        PARCELS_CONSERVED.require(self)
-
-    @property
-    def execution_time_s(self) -> float:
-        return self.execution_time_ns / 1e9
-
-    @property
-    def total_cores(self) -> int:
-        return self.num_localities * self.cores_per_locality
-
-    # -- the idle-rate decomposition figD plots ----------------------------
-
-    @property
-    def _budget_ns(self) -> float:
-        return float(self.total_cores * self.execution_time_ns)
-
-    @property
-    def idle_rate(self) -> float:
-        """System-wide Eq. 1: share of the core-time budget not computing."""
-        budget = self._budget_ns
-        if budget <= 0:
-            return 0.0
-        return (budget - self.total_exec_ns) / budget
-
-    @property
-    def overhead_idle_rate(self) -> float:
-        """The idle-rate share attributable to task management."""
-        budget = self._budget_ns
-        return self.total_mgmt_ns / budget if budget > 0 else 0.0
-
-    @property
-    def network_wait_rate(self) -> float:
-        """The idle-rate share attributable to parcels in flight.
-
-        Normalizes the cumulative ready-to-delivered time of all received
-        parcels by the core-time budget: the fraction of the machine's
-        capacity spent with a consumer-side value still on the wire.  The
-        remainder of the idle-rate beyond overhead and network wait is
-        starvation (plus scheduler polling), as on a single node.
-        """
-        budget = self._budget_ns
-        return self.network_wait_ns / budget if budget > 0 else 0.0
-
-
+@dataclass(eq=False)
 class Locality:
     """One simulated node: a Runtime plus its parcelport and AGAS cache."""
 
-    def __init__(
-        self,
-        index: int,
-        runtime: Runtime,
-        parcelport: Parcelport,
-        agas: AgasCache,
-    ) -> None:
-        self.index = index
-        self.runtime = runtime
-        self.parcelport = parcelport
-        self.agas = agas
-        #: set when this locality fail-stops (see FaultPlan.crashes)
-        self.crashed = False
+    index: int
+    runtime: Runtime
+    parcelport: Parcelport
+    agas: AgasCache
+    #: set when this locality fail-stops (see FaultPlan.crashes)
+    crashed: bool = False
 
 
 class DistRuntime:
@@ -469,7 +303,6 @@ class DistRuntime:
                 ),
                 simulator=self.simulator,
             )
-            overload = config.overload
             port = Parcelport(
                 i,
                 self.simulator,
@@ -479,8 +312,6 @@ class DistRuntime:
                 injector=self.injector,
                 retry=config.retry,
                 seed=config.seed,
-                credits=overload.credits if overload is not None else None,
-                breaker=overload.breaker if overload is not None else None,
                 dead_letter_capacity=config.dead_letter_capacity,
             )
             cache = AgasCache(self.agas, i, self.registry, agas_params)
@@ -504,29 +335,54 @@ class DistRuntime:
         self._recoveries: dict[
             tuple[int, int, Callable[[Any], Any] | None], int
         ] = {}
-        #: proxy key -> (source future, ship closure); populated only under
-        #: crash recovery so declared-dead senders' parcels can be re-shipped
-        #: from the value's new home
-        self._shippers: dict[
-            tuple[int, int, Callable[[Any], Any] | None],
-            tuple[Future, Callable[[Future], None]],
-        ] = {}
-        #: the crash-recovery layer; None (the default) costs nothing and
-        #: leaves the event schedule bit-identical to pre-recovery builds
-        self.recovery_manager: RecoveryManager | None = None
-        if config.crash_recovery is not None:
-            self.recovery_manager = RecoveryManager(
-                self, config.crash_recovery
-            )
-        #: the gray-failure tolerance layer; None (the default) installs no
-        #: spawn hooks, no sketches and no hedge timers — bit-identical off
-        self.tail_manager: TailManager | None = None
-        if config.tail is not None:
-            self.tail_manager = TailManager(self, config.tail)
-            for loc in self.localities:
-                loc.parcelport.attach_tail(self.tail_manager)
+        self._build_layers()
+        self._spawn_layers = implementers(self.layers, "on_spawn")
+        self._ship_layers = implementers(self.layers, "on_ship")
+        self._crash_owners = implementers(self.layers, "owns_crash")
         self._ran = False
         self._result: DistRunResult | None = None
+
+    def _build_layers(self) -> None:
+        """Build the opt-in layers and register their counters; with every
+        layer off ``layers`` is empty and no hook ever runs."""
+        # Imported here: the layers import this package's layer protocol.
+        from repro.overload.gate import SendGate
+        from repro.recovery.manager import RecoveryManager
+        from repro.tail.manager import TailManager
+
+        config = self.config
+        layers: list[Layer] = []
+        self.recovery_manager: RecoveryManager | None = None
+        self.tail_manager: TailManager | None = None
+        if config.crash_recovery is not None:
+            self.recovery_manager = RecoveryManager(self, config.crash_recovery)
+            layers.append(self.recovery_manager)
+        if config.tail is not None:
+            self.tail_manager = TailManager(
+                self, config.tail, self.recovery_manager
+            )
+            layers.append(self.tail_manager)
+        #: runtime-wide layers, in hook order
+        self.layers: tuple[Layer, ...] = tuple(layers)
+        for layer in self.layers:
+            layer.register_counters(self.registry)
+        overload = config.overload
+        gated = overload is not None and (
+            overload.credits is not None or overload.breaker is not None
+        )
+        for loc in self.localities:
+            port = loc.parcelport
+            if gated:
+                gate = SendGate(
+                    port,
+                    credits=overload.credits,
+                    breaker=overload.breaker,
+                    seed=config.seed,
+                )
+                gate.register_counters(self.registry)
+                port.layers = (*self.layers, gate)
+            else:
+                port.layers = self.layers
 
     def _mirror_thread_counters(self, index: int, runtime: Runtime) -> None:
         """Re-export a locality's key thread counters at ``locality#N``.
@@ -588,11 +444,6 @@ class DistRuntime:
     def num_localities(self) -> int:
         return self.config.num_localities
 
-    def owner_of(self, future: Future) -> int | None:
-        """The locality owning ``future``, or None if it never passed
-        through this facade (caller-made futures are location-free)."""
-        return self._owner.get(future.future_id)
-
     def register_gid(self, locality: int, name: str = "") -> GlobalId:
         """Mint an AGAS gid homed on ``locality`` for a long-lived object."""
         if not 0 <= locality < self.num_localities:
@@ -606,8 +457,8 @@ class DistRuntime:
         f = Future(name)
         f.set_value(value)
         self._owner[f.future_id] = locality
-        if self.recovery_manager is not None:
-            self.recovery_manager.record_root(f)
+        for layer in self._spawn_layers:
+            layer.on_spawn("root", f)
         return f
 
     # -- work submission ----------------------------------------------------
@@ -628,9 +479,10 @@ class DistRuntime:
             fn, *args, work=work, name=name, priority=priority, qos=qos
         )
         self._owner[f.future_id] = locality
-        if self.recovery_manager is not None:
-            self.recovery_manager.record_async(
-                f, fn, args, work, name, priority, qos
+        for layer in self._spawn_layers:
+            layer.on_spawn(
+                "async", f, fn=fn, args=args, work=work, name=name,
+                priority=priority, qos=qos,
             )
         return f
 
@@ -661,12 +513,13 @@ class DistRuntime:
             fn, deps, work=work, name=name, priority=priority, qos=qos
         )
         self._owner[f.future_id] = locality
-        if self.recovery_manager is not None:
+        for layer in self._spawn_layers:
             # Lineage records the *caller's* dependencies: re-execution
             # re-localizes them against the post-crash owner map, so a dep
             # that died with its locality is rewired to its replacement.
-            self.recovery_manager.record_dataflow(
-                f, fn, tuple(dependencies), work, name, priority, qos
+            layer.on_spawn(
+                "dataflow", f, fn=fn, deps=tuple(dependencies), work=work,
+                name=name, priority=priority, qos=qos,
             )
         return f
 
@@ -754,17 +607,13 @@ class DistRuntime:
                 transform=transform,
                 gid=gid,
                 recovery_work=recovery_work,
-                deliver=deliver,
             )
 
         def ship(ready: Future) -> None:
             source = current_source()
-            mgr = self.recovery_manager
-            if mgr is not None and mgr.is_dead(destination):
-                # The consumer's locality is gone: burning a send (and its
-                # whole retry budget) on it would be pure waste.
-                mgr.note_failed_fast(source.index)
-                return
+            for layer in self._ship_layers:
+                if layer.on_ship(source.index, destination):
+                    return
             if source.index == destination:
                 # Only reachable under crash recovery: the producer was
                 # re-homed onto the consumer's own locality, so the value
@@ -811,30 +660,22 @@ class DistRuntime:
                 resolve_ns=resolve_ns, on_lost=on_lost,
             )
 
-        if self.recovery_manager is not None:
-            self._shippers[key] = (future, ship)
-            self.recovery_manager.record_proxy(
-                proxy, future, payload_bytes, transform, gid,
-                recovery_work, proxy.name,
+        for layer in self._spawn_layers:
+            layer.on_spawn(
+                "proxy", proxy, src=future, payload_bytes=payload_bytes,
+                transform=transform, gid=gid, recovery_work=recovery_work,
+                name=proxy.name, key=key, ship=ship,
             )
         future.on_ready(ship)
         return proxy
 
-    def _reship(self, key: tuple[int, int, Callable[[Any], Any] | None]) -> None:
-        """Re-send a proxy's value after its producer's locality died.
-
-        Called by the recovery manager for proxies that were fed (or were
-        about to be fed) by a declared-dead sender; the stored ship closure
-        resolves the source locality dynamically, so the fresh parcel
-        departs from the value's post-recovery home.
-        """
-        proxy = self._proxies.get(key)
-        entry = self._shippers.get(key)
-        if proxy is None or entry is None or proxy.is_ready:
-            return
-        src_future, ship = entry
-        if src_future.is_ready:
-            ship(src_future)
+    def _owned_crash(self, *indices: int) -> bool:
+        """Is one of these localities crashed, with a layer recovering it?"""
+        return any(
+            self.localities[i].crashed and layer.owns_crash(i)
+            for i in indices
+            for layer in self._crash_owners
+        )
 
     def _parcel_lost(
         self,
@@ -850,20 +691,13 @@ class DistRuntime:
         transform: Callable[[Any], Any] | None,
         gid: GlobalId | None,
         recovery_work: WorkDescriptor | None,
-        deliver: Callable[[Parcel], None],
     ) -> None:
         """A proxy's parcel exhausted its retry budget; recover or fail."""
         if proxy.is_ready:
             return
-        mgr = self.recovery_manager
-        if mgr is not None and (
-            source.crashed or self.localities[destination].crashed
-        ):
-            # Crash recovery owns this loss: once the detector declares the
-            # dead endpoint, the value is re-shipped from its new home (or
-            # the send is abandoned outright) — failing the proxy here
-            # would beat the recovery to it.  This replaces the terminal
-            # "no recovery possible" path below for recovery-enabled runs.
+        if self._owned_crash(source.index, destination):
+            # A layer recovering the crashed endpoint owns this loss; the
+            # terminal "no recovery possible" path below would beat it.
             return
         dest = self.localities[destination]
         used = self._recoveries.get(key, 0)
@@ -921,7 +755,7 @@ class DistRuntime:
                     source=source, destination=destination,
                     src_future=src_future, payload_bytes=payload_bytes,
                     transform=transform, gid=gid,
-                    recovery_work=recovery_work, deliver=deliver,
+                    recovery_work=recovery_work,
                 )
 
             source.parcelport.send(
@@ -980,23 +814,19 @@ class DistRuntime:
                 )
             if bits:
                 parts.append(f"locality {loc.index}: " + ", ".join(bits))
-        if self.recovery_manager is not None:
-            # Recovery-enabled runs report live detector / checkpoint /
-            # recovery state instead of declaring dependency cones doomed:
-            # a cone behind a declared crash is being re-executed, not dead.
-            parts.extend(self.recovery_manager.diagnose())
-            if self.tail_manager is not None:
-                parts.extend(self.tail_manager.diagnose())
-            return "; ".join(parts)
+        for layer in implementers(self.layers, "diagnose"):
+            parts.extend(layer.diagnose())
         # Name the dependency cones that died with a crashed locality: a
         # pending proxy whose transitive producer crashed can never become
         # ready, and that (not the transport) is what starves its consumer.
+        # A cone behind a crash some layer recovers is being re-executed,
+        # not dead.
         doomed: dict[int, list[str]] = {}
         for proxy in self._proxies.values():
             if proxy.is_ready:
                 continue
             crashed = self._crashed_dependency(proxy)
-            if crashed is not None:
+            if crashed is not None and not self._owned_crash(crashed):
                 doomed.setdefault(crashed, []).append(proxy.name)
         for crashed in sorted(doomed):
             names = doomed[crashed]
@@ -1030,10 +860,8 @@ class DistRuntime:
                     )
         for loc in self.localities:
             loc.runtime.executor.start_workers()
-        if self.recovery_manager is not None:
-            self.recovery_manager.start()
-        if self.tail_manager is not None:
-            self.tail_manager.start()
+        for layer in implementers(self.layers, "on_start"):
+            layer.on_start()
         if watchdog_ns is not None:
             self.simulator.run_until(watchdog_ns)
             unfinished = self.simulator.pending_events() > 0 or any(
@@ -1052,24 +880,11 @@ class DistRuntime:
             if not loc.crashed and loc.runtime.executor.outstanding_tasks > 0
         ]
         if stuck:
-            dead = [
-                p
-                for loc in self.localities
-                for p in loc.parcelport.dead_letters
-            ]
-            if dead:
-                first = dead[0]
-                raise ParcelLostError(
-                    first.parcel_id,
-                    first.source,
-                    first.destination,
-                    1,
-                    detail=(
-                        f"{len(dead)} parcel(s) lost in transit left "
-                        f"localities {stuck} starved (unreliable transport; "
-                        "enable retry=RetryParams(...) to retransmit)"
-                    ),
-                )
+            self._raise_if_lost_in_transit(
+                lambda n: f"{n} parcel(s) lost in transit left localities "
+                f"{stuck} starved (unreliable transport; enable "
+                "retry=RetryParams(...) to retransmit)"
+            )
             detail = ", ".join(
                 f"locality {i}: "
                 f"{self.localities[i].runtime.executor.outstanding_tasks} "
@@ -1094,24 +909,9 @@ class DistRuntime:
             # shut down until every locality reaches the barrier).
             loc.runtime.executor.finish_ns = finish
 
-        reg = self.registry
-
-        def ptotal(tail: str) -> int:
-            return int(reg.total(f"/parcels{{locality#*/total}}/{tail}"))
-
-        mgr = self.recovery_manager
-        tail = self.tail_manager
-        if mgr is not None:
-            completed = sum(
-                loc.runtime.executor.tasks_completed
-                for loc in self.localities
-            )
-            app_tasks_completed = completed - mgr.internal_completions
-        else:
-            app_tasks_completed = 0
         result = DistRunResult(
             execution_time_ns=finish,
-            counters=reg.snapshot(finish),
+            counters=self.registry.snapshot(finish),
             per_locality=tuple(
                 loc.runtime.registry.snapshot(finish) for loc in self.localities
             ),
@@ -1121,91 +921,23 @@ class DistRuntime:
             tasks_executed=sum(
                 loc.runtime.executor.total_spawned for loc in self.localities
             ),
-            parcels_sent=int(reg.total("/parcels{locality#*/total}/count/sent")),
-            parcels_received=int(
-                reg.total("/parcels{locality#*/total}/count/received")
-            ),
-            bytes_sent=int(
-                reg.total("/parcels{locality#*/total}/count/bytes-sent")
-            ),
-            serialization_time_ns=int(
-                reg.total("/parcels{locality#*/total}/time/serialization")
-            ),
-            network_wait_ns=int(
-                reg.total("/parcels{locality#*/total}/time/network-wait")
-            ),
-            agas_cache_hits=int(
-                reg.total("/agas{locality#*/total}/count/cache-hits")
-            ),
-            agas_cache_misses=int(
-                reg.total("/agas{locality#*/total}/count/cache-misses")
-            ),
-            total_exec_ns=int(
-                reg.total("/threads{locality#*/total}/time/cumulative")
-            ),
-            total_mgmt_ns=int(
-                reg.total("/threads{locality#*/total}/time/cumulative-overhead")
-            ),
-            parcels_dropped=ptotal("count/dropped"),
-            parcels_retransmitted=ptotal("count/retransmitted"),
-            duplicates_discarded=ptotal("count/duplicates-discarded"),
-            retry_backoff_ns=ptotal("time/retry-backoff"),
-            parcels_recovered=ptotal("count/recovered"),
-            recovery_ns=ptotal("time/recovery"),
             crashed_localities=tuple(
                 loc.index for loc in self.localities if loc.crashed
             ),
-            tasks_shed=sum(
-                loc.runtime.admission.stats.shed
-                for loc in self.localities
-                if loc.runtime.admission is not None
-            ),
-            sends_deferred=sum(
-                loc.parcelport.sends_deferred for loc in self.localities
-            ),
-            credits_exhausted_ns=sum(
-                loc.parcelport.credits_exhausted_ns for loc in self.localities
-            ),
-            max_unacked_in_flight=max(
-                (loc.parcelport.max_unacked_in_flight
-                 for loc in self.localities),
-                default=0,
-            ),
-            breaker_transitions=sum(
-                loc.parcelport.breaker_transitions for loc in self.localities
-            ),
-            dead_letters_dropped=sum(
-                loc.parcelport.dead_letters_dropped for loc in self.localities
-            ),
-            crashes_detected=mgr.crashes_detected if mgr else 0,
-            heartbeats_sent=mgr.heartbeats_sent if mgr else 0,
-            checkpoints_taken=mgr.checkpoints_taken if mgr else 0,
-            tasks_checkpointed=mgr.tasks_checkpointed if mgr else 0,
-            tasks_restored=mgr.tasks_restored if mgr else 0,
-            tasks_reexecuted=mgr.tasks_reexecuted if mgr else 0,
-            tasks_lost=mgr.tasks_lost if mgr else 0,
-            parcels_failed_fast=mgr.parcels_failed_fast if mgr else 0,
-            detection_ns=mgr.detection_ns if mgr else 0,
-            restore_ns=mgr.restore_ns if mgr else 0,
-            reexecution_ns=mgr.reexecution_ns if mgr else 0,
-            recovery_total_ns=mgr.recovery_total_ns if mgr else 0,
-            app_tasks_completed=app_tasks_completed,
-            localities_degraded=tail.localities_degraded if tail else 0,
-            degraded_events=tail.degraded_events if tail else 0,
-            hedges_armed=tail.hedges_armed if tail else 0,
-            hedges_sent=tail.hedges_sent if tail else 0,
-            hedges_won=tail.hedges_won if tail else 0,
-            hedges_lost=tail.hedges_lost if tail else 0,
-            hedges_cancelled=tail.hedges_cancelled if tail else 0,
-            tasks_speculated=tail.tasks_speculated if tail else 0,
-            speculation_wins=tail.speculation_wins if tail else 0,
-            speculations_cancelled=tail.speculations_cancelled if tail else 0,
-            originals_cancelled=tail.originals_cancelled if tail else 0,
-            speculation_budget=tail.speculation_budget if tail else 0,
-            fenced_rejections=tail.fenced_rejections if tail else 0,
         )
         self._result = result
         return result
+
+    def _raise_if_lost_in_transit(self, detail: Callable[[int], str]) -> None:
+        """Raise :class:`ParcelLostError` naming the first dead letter, if
+        any port holds one; ``detail`` words it from the dead count."""
+        dead = [p for loc in self.localities for p in loc.parcelport.dead_letters]
+        if dead:
+            first = dead[0]
+            raise ParcelLostError(
+                first.parcel_id, first.source, first.destination, 1,
+                detail=detail(len(dead)),
+            )
 
     def _crashed_dependency(self, future: Future) -> int | None:
         """The crashed locality a pending future transitively depends on."""
@@ -1257,24 +989,11 @@ class DistRuntime:
                             "with it and can never become ready"
                         ),
                     )
-                dead = [
-                    p
-                    for loc in self.localities
-                    for p in loc.parcelport.dead_letters
-                ]
-                if dead:
-                    first = dead[0]
-                    raise ParcelLostError(
-                        first.parcel_id,
-                        first.source,
-                        first.destination,
-                        1,
-                        detail=(
-                            f"future {f.name!r} starved; {len(dead)} "
-                            "parcel(s) lost on the unreliable transport "
-                            "(enable retry=RetryParams(...) to retransmit)"
-                        ),
-                    )
+                self._raise_if_lost_in_transit(
+                    lambda n: f"future {f.name!r} starved; {n} parcel(s) "
+                    "lost on the unreliable transport (enable "
+                    "retry=RetryParams(...) to retransmit)"
+                )
                 raise DeadlockError(
                     f"future {f.name!r} is still pending after the run "
                     "completed — it was never connected to any task"

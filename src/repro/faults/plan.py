@@ -89,6 +89,9 @@ class LinkDegradation:
             raise ValueError("latency_factor must be >= 1 (a degradation)")
         if not 0.0 < self.bandwidth_factor <= 1.0:
             raise ValueError("bandwidth_factor must be in (0, 1]")
+        for end in (self.src, self.dst):
+            if end is not None and end < 0:
+                raise ValueError(f"degraded link endpoint {end} must be >= 0")
 
     def matches(self, src: int, dst: int, at_ns: int) -> bool:
         if not self.start_ns <= at_ns < self.end_ns:
@@ -167,9 +170,11 @@ class FaultPlan:
             )
         if self.doom_every < 0:
             raise ValueError("doom_every must be >= 0 (0 disables)")
-        seen = [s.locality for s in self.stragglers]
-        if len(seen) != len(set(seen)):
-            raise ValueError("at most one Straggler per locality")
+        for kind, entries in (("Straggler", self.stragglers),
+                              ("CrashAt", self.crashes)):
+            seen = [e.locality for e in entries]
+            if len(seen) != len(set(seen)):
+                raise ValueError(f"at most one {kind} per locality")
 
     @classmethod
     def none(cls) -> "FaultPlan":

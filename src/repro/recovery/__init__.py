@@ -6,7 +6,7 @@ Public surface::
 
     cfg = DistConfig(num_localities=4,
                      crash_recovery=RecoveryConfig(checkpoint_interval_ns=200_000),
-                     fault_plan=FaultPlan(crashes=(CrashAt(3, 1_000_000),)))
+                     faults=FaultPlan(crashes=(CrashAt(3, 1_000_000),)))
 
 :class:`RecoveryManager` is constructed by the runtime itself; applications
 only ever touch :class:`RecoveryConfig`.

@@ -4,8 +4,9 @@
 diagnosis ("these dependency cones can never become ready") into a survived
 event.  One :class:`RecoveryManager` per :class:`repro.dist.DistRuntime`
 (created only when ``DistConfig.crash_recovery`` is set — ``None`` leaves
-the runtime bit-identical to the pre-recovery code) runs three machines on
-the shared virtual clock:
+the runtime bit-identical to the pre-recovery code) is a
+:class:`repro.dist.layer.Layer` fed every future's lineage by ``on_spawn``.
+It runs three machines on the shared virtual clock:
 
 **1. Heartbeat failure detection.**  Every locality emits a heartbeat to
 every peer each ``heartbeat_interval_ns`` (times its straggler factor, plus
@@ -57,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.dist.layer import Layer, implementers
 from repro.faults.errors import UnrecoverableCrashError
 from repro.faults.plan import ROLE_HEARTBEAT, stream_u64
 from repro.recovery.config import RecoveryConfig
@@ -64,6 +66,7 @@ from repro.runtime.future import Future
 from repro.runtime.work import FixedWork, WorkDescriptor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.counters.registry import CounterRegistry
     from repro.dist.runtime import DistRuntime
 
 
@@ -105,7 +108,7 @@ class _CrashRecord:
     replacements: dict[int, Future] = field(default_factory=dict)
 
 
-class RecoveryManager:
+class RecoveryManager(Layer):
     """Failure detection + checkpoint/restart for one distributed run."""
 
     def __init__(self, dist: "DistRuntime", config: RecoveryConfig) -> None:
@@ -117,6 +120,11 @@ class RecoveryManager:
         self._seed = dist.config.seed
         #: future_id -> rebuild recipe, in creation order (dict is ordered)
         self._lineage: dict[int, _Lineage] = {}
+        #: proxy key -> (source future, ship closure), so a proxy fed by a
+        #: declared-dead sender can be re-shipped from the value's new home
+        self._shippers: dict[tuple, tuple[Future, Callable[[Future], None]]] = {}
+        #: the other layers' heartbeat hooks (bound when the run starts)
+        self._heartbeat_layers: tuple[Layer, ...] = ()
         # -- detector state --------------------------------------------------
         init_gap = config.heartbeat_interval_ns + config.heartbeat_jitter_ns
         self._last_seen = [[0] * n for _ in range(n)]
@@ -138,16 +146,6 @@ class RecoveryManager:
         # -- recovery state --------------------------------------------------
         self._crashes: dict[int, _CrashRecord] = {}
         self._replacement: dict[int, Future] = {}
-        self.crashes_detected = 0
-        self.internal_completions = 0
-        self.tasks_checkpointed = 0
-        self.tasks_restored = 0
-        self.tasks_reexecuted = 0
-        self.tasks_lost = 0
-        self.parcels_failed_fast = 0
-        self.detection_ns = 0
-        self.restore_ns = 0
-        self.reexecution_ns = 0
         # per-locality counter backing stores
         self._hb_sent = [0] * n
         self._ckpts = [0] * n
@@ -155,136 +153,87 @@ class RecoveryManager:
         self._restored_by = [0] * n
         self._reexec_by = [0] * n
         self._failed_fast_by = [0] * n
+        self._internal_by = [0] * n
         self._t_detect = [0] * n
         self._t_restore = [0] * n
         self._t_reexec = [0] * n
-        self._register_counters()
 
-    @property
-    def heartbeats_sent(self) -> int:
-        return sum(self._hb_sent)
+    def _recovery_time(self, i: int) -> float:
+        """Crash-to-recovered time of ``i``'s crash, from the crash record
+        (not the phase stores, so PF408's decomposition is a real check)."""
+        rec = self._crashes.get(i)
+        if rec is None:
+            return 0.0
+        end = rec.finished_ns if rec.finished_ns is not None else self.sim.now
+        return float(end - rec.crashed_ns)
 
-    @property
-    def checkpoints_taken(self) -> int:
-        return sum(self._ckpts)
-
-    @property
-    def recovery_total_ns(self) -> int:
-        """Crash-to-recovered time, summed over declared crashes.
-
-        Equals ``detection_ns + restore_ns + reexecution_ns`` exactly —
-        the three phases are sequential by construction.
-        """
-        total = 0
-        for rec in self._crashes.values():
-            end = (
-                rec.finished_ns
-                if rec.finished_ns is not None
-                else self.sim.now
-            )
-            total += end - rec.crashed_ns
-        return total
-
-    def _register_counters(self) -> None:
+    def register_counters(self, registry: "CounterRegistry") -> None:
         """Export the ``/recovery{locality#N/total}`` family.
 
         Registered only when crash recovery is enabled, so a disabled run's
         counter snapshot stays bit-identical to the pre-recovery runtime.
         """
-        reg = self.dist.registry
 
         def per_loc(store: list[int], i: int) -> Callable[[], float]:
             return lambda: float(store[i])
 
         for i in range(self._n):
             prefix = f"/recovery{{locality#{i}/total}}"
-            reg.derived(f"{prefix}/count/heartbeats-sent",
-                        per_loc(self._hb_sent, i),
-                        "failure-detector heartbeats this locality emitted")
-            reg.derived(f"{prefix}/count/checkpoints",
-                        per_loc(self._ckpts, i),
-                        "checkpoint writes this locality completed")
-            reg.derived(f"{prefix}/count/checkpointed",
-                        per_loc(self._ckpted, i),
-                        "task results this locality made durable")
-            reg.derived(f"{prefix}/count/restored",
-                        per_loc(self._restored_by, i),
-                        "lost-locality results restored onto this locality")
-            reg.derived(f"{prefix}/count/reexecuted",
-                        per_loc(self._reexec_by, i),
-                        "lost tasks re-executed on this locality")
-            reg.derived(f"{prefix}/count/failed-fast",
-                        per_loc(self._failed_fast_by, i),
-                        "sends to a declared-dead locality abandoned early")
-            reg.derived(f"{prefix}/time/detection",
-                        per_loc(self._t_detect, i),
-                        "crash-to-declaration latency of this locality (ns)")
-            reg.derived(f"{prefix}/time/restore",
-                        per_loc(self._t_restore, i),
-                        "checkpoint-restore time after this locality died (ns)")
-            reg.derived(f"{prefix}/time/reexecution",
-                        per_loc(self._t_reexec, i),
-                        "lost-work re-execution time after this locality "
-                        "died (ns)")
+            for path, source, description in (
+                ("count/heartbeats-sent", per_loc(self._hb_sent, i),
+                 "failure-detector heartbeats this locality emitted"),
+                ("count/checkpoints", per_loc(self._ckpts, i),
+                 "checkpoint writes this locality completed"),
+                ("count/checkpointed", per_loc(self._ckpted, i),
+                 "task results this locality made durable"),
+                ("count/restored", per_loc(self._restored_by, i),
+                 "lost-locality results restored onto this locality"),
+                ("count/reexecuted", per_loc(self._reexec_by, i),
+                 "lost tasks re-executed on this locality"),
+                ("count/failed-fast", per_loc(self._failed_fast_by, i),
+                 "sends to a declared-dead locality abandoned early"),
+                ("time/detection", per_loc(self._t_detect, i),
+                 "crash-to-declaration latency of this locality (ns)"),
+                ("time/restore", per_loc(self._t_restore, i),
+                 "checkpoint-restore time after this locality died (ns)"),
+                ("time/reexecution", per_loc(self._t_reexec, i),
+                 "lost-work re-execution time after this locality died (ns)"),
+                ("time/total", lambda i=i: self._recovery_time(i),
+                 "crash-to-recovered time after this locality died (ns)"),
+                ("count/declared", lambda i=i: float(i in self._declared),
+                 "1 once the detector declared this locality dead"),
+                ("count/lost",
+                 lambda i=i: float(
+                     self._crashes[i].lost if i in self._crashes else 0
+                 ),
+                 "tasks this locality's declared crash lost"),
+                ("count/internal-completions", per_loc(self._internal_by, i),
+                 "recovery bookkeeping tasks this locality completed "
+                 "(checkpoint writes, redundant re-executions)"),
+            ):
+                registry.derived(f"{prefix}/{path}", source, description)
 
-    # -- lineage recording (called by the DistRuntime submission verbs) -----
+    # -- lineage recording (the DistRuntime's on_spawn hook) ----------------
 
-    def record_root(self, future: Future) -> None:
-        """Initial data placement: durable by construction, free."""
+    def on_spawn(
+        self,
+        kind: str,
+        future: Future,
+        *,
+        key: tuple | None = None,
+        ship: Callable[[Future], None] | None = None,
+        **lineage: Any,
+    ) -> None:
         fid = future.future_id
-        self._lineage[fid] = _Lineage(kind="root", future=future)
-        self._durable.add(fid)
-        owner = self.dist._owner[fid]
-        self._ckpted[owner] += 1
-        self.tasks_checkpointed += 1
-
-    def record_async(
-        self,
-        future: Future,
-        fn: Callable[..., Any],
-        args: tuple,
-        work: WorkDescriptor | None,
-        name: str,
-        priority: Any,
-        qos: Any,
-    ) -> None:
-        self._lineage[future.future_id] = _Lineage(
-            kind="async", future=future, fn=fn, args=args,
-            work=work, name=name, priority=priority, qos=qos,
-        )
-        future.on_ready(self._note_completed)
-
-    def record_dataflow(
-        self,
-        future: Future,
-        fn: Callable[..., Any],
-        deps: tuple,
-        work: WorkDescriptor | None,
-        name: str,
-        priority: Any,
-        qos: Any,
-    ) -> None:
-        self._lineage[future.future_id] = _Lineage(
-            kind="dataflow", future=future, fn=fn, deps=deps,
-            work=work, name=name, priority=priority, qos=qos,
-        )
-        future.on_ready(self._note_completed)
-
-    def record_proxy(
-        self,
-        proxy: Future,
-        src: Future,
-        payload_bytes: int | None,
-        transform: Callable[[Any], Any] | None,
-        gid: Any,
-        recovery_work: WorkDescriptor | None,
-        name: str,
-    ) -> None:
-        self._lineage[proxy.future_id] = _Lineage(
-            kind="proxy", future=proxy, src=src, name=name,
-            payload_bytes=payload_bytes, transform=transform,
-            gid=gid, recovery_work=recovery_work,
-        )
+        self._lineage[fid] = _Lineage(kind=kind, future=future, **lineage)
+        if kind == "root":
+            # Initial data placement: durable by construction, free.
+            self._durable.add(fid)
+            self._ckpted[self.dist._owner[fid]] += 1
+        elif kind == "proxy":
+            self._shippers[key] = (lineage["src"], ship)
+        else:
+            future.on_ready(self._note_completed)
 
     def _note_completed(self, future: Future) -> None:
         """Queue a completed task result for the owner's next checkpoint."""
@@ -328,8 +277,9 @@ class RecoveryManager:
                 return True
         return False
 
-    def start(self) -> None:
+    def on_start(self) -> None:
         """Arm the heartbeat and checkpoint chains (DistRuntime.run)."""
+        self._heartbeat_layers = implementers(self.dist.layers, "on_heartbeat")
         for i in range(self._n):
             self._schedule_heartbeat(i)
             self._schedule_checkpoint(i)
@@ -362,7 +312,7 @@ class RecoveryManager:
             if j == i or j in self._declared:
                 continue
             self._hb_sent[i] += 1
-            delay = port._transfer_ns(j, self.config.heartbeat_bytes)
+            delay = port.transfer_ns(j, self.config.heartbeat_bytes)
             self.sim.schedule(
                 delay, lambda j=j, i=i: self._receive_heartbeat(j, i)
             )
@@ -373,12 +323,11 @@ class RecoveryManager:
             return
         now = self.sim.now
         gap = now - self._last_seen[monitor][peer]
-        tail = self.dist.tail_manager
-        if tail is not None:
-            # The gray detector reads the same heartbeat stream the crash
-            # quorum does, but only ever *observes* it: no suspicion state
-            # is touched, so "stragglers are not dead" is preserved.
-            tail.note_heartbeat_gap(
+        # A gray detector reads the same heartbeat stream the crash quorum
+        # does, but only ever *observes* it: no suspicion state is touched,
+        # so "stragglers are not dead" is preserved.
+        for layer in self._heartbeat_layers:
+            layer.on_heartbeat(
                 monitor, peer, gap, self.config.heartbeat_interval_ns
             )
         self._last_seen[monitor][peer] = now
@@ -469,7 +418,7 @@ class RecoveryManager:
         self, i: int, chosen: tuple[int, ...], payload: int
     ) -> None:
         self._live_ckpt[i] -= 1
-        self.internal_completions += 1
+        self._internal_by[i] += 1
         self._ckpts[i] += 1
         if not chosen:
             return
@@ -477,7 +426,7 @@ class RecoveryManager:
         partner = self._next_alive(i)
         if partner is None:
             return
-        delay = loc.parcelport._transfer_ns(partner, payload)
+        delay = loc.parcelport.transfer_ns(partner, payload)
         self.sim.schedule(
             delay, lambda: self._replica_arrived(i, chosen)
         )
@@ -489,7 +438,6 @@ class RecoveryManager:
             self._pending_ckpt.discard(fid)
             self._durable.add(fid)
         self._ckpted[i] += len(chosen)
-        self.tasks_checkpointed += len(chosen)
 
     def _next_alive(self, i: int) -> int | None:
         for step in range(1, self._n):
@@ -501,12 +449,19 @@ class RecoveryManager:
 
     # -- declaration and recovery -------------------------------------------
 
-    def is_dead(self, locality: int) -> bool:
-        return locality in self._declared
+    def on_ship(self, source: int, destination: int) -> bool:
+        if destination not in self._declared:
+            return False
+        # The consumer's locality is gone: burning a send (and its whole
+        # retry budget) on it would be pure waste.
+        self._failed_fast_by[source] += 1
+        return True
 
-    def note_failed_fast(self, locality: int) -> None:
-        self._failed_fast_by[locality] += 1
-        self.parcels_failed_fast += 1
+    def owns_crash(self, locality: int) -> bool:
+        # Once the detector declares the dead endpoint, its values are
+        # re-shipped from their new home (or the send is abandoned): failing
+        # the proxy would beat the recovery to it.
+        return True
 
     def _declare(self, p: int) -> None:
         """A quorum of monitors gave up on ``p``: run the recovery plan."""
@@ -514,9 +469,8 @@ class RecoveryManager:
             return
         now = self.sim.now
         self._declared.add(p)
-        self.crashes_detected += 1
         dead = tuple(sorted(self._declared))
-        if self.crashes_detected > self.config.max_crashes:
+        if len(self._declared) > self.config.max_crashes:
             raise UnrecoverableCrashError(
                 dead,
                 detail=(
@@ -533,17 +487,14 @@ class RecoveryManager:
             # Fencing: a declared locality must be fail-stopped even if it
             # was merely wedged — survivors are about to take its work.
             dist._crash(loc)
-        if dist.tail_manager is not None:
-            # Epoch fencing: bump p's epoch so parcels it already has in
-            # flight (stamped with the old epoch) are rejected on arrival
-            # instead of committing stale results after the takeover.
-            dist.tail_manager.note_declared(p)
+        # The other layers hear of it next (a fence bumps p's epoch so
+        # parcels it already has in flight are rejected on arrival).
+        for layer in implementers(dist.layers, "on_declare"):
+            layer.on_declare(p)
         crashed_ns = (
             crash_at if crash_at is not None and crash_at <= now else now
         )
-        detect = now - crashed_ns
-        self._t_detect[p] += detect
-        self.detection_ns += detect
+        self._t_detect[p] += now - crashed_ns
         survivors = [
             l.index
             for l in dist.localities
@@ -560,7 +511,6 @@ class RecoveryManager:
             abandoned = other.parcelport.abandon_destination(p)
             if abandoned:
                 self._failed_fast_by[other.index] += abandoned
-                self.parcels_failed_fast += abandoned
         # 2. AGAS: re-home the dead locality's addresses; survivors must
         # re-learn them (their next resolve pays a miss).
         moved = dist.agas.homed_on(p)
@@ -589,8 +539,6 @@ class RecoveryManager:
                 lost.append((fid, home))
         record.restored = len(restored)
         record.lost = len(lost)
-        self.tasks_restored += len(restored)
-        self.tasks_lost += len(lost)
         # 4. Restore: one batch transfer of the durable entries from the
         # replicated store to their new homes.
         restore_cost = 0
@@ -614,9 +562,7 @@ class RecoveryManager:
         now = self.sim.now
         record.restore_end_ns = now
         p = record.locality
-        elapsed = now - record.declared_ns
-        self._t_restore[p] += elapsed
-        self.restore_ns += elapsed
+        self._t_restore[p] += now - record.declared_ns
         # Restored results may have consumers on survivors whose parcels
         # died with the sender: re-ship them from the value's new home.
         for fid in restored:
@@ -696,14 +642,13 @@ class RecoveryManager:
         original = self._lineage[fid].future
         home = self.dist._owner.get(repl.future_id, record.locality)
         self._reexec_by[home] += 1
-        self.tasks_reexecuted += 1
         if original.is_ready:
             # The original completed before the crash but was not durable:
             # the replacement re-materialized a value that still exists in
             # this process, so its completion is bookkeeping, not progress —
             # but consumers whose parcels died with the sender still need
             # the value re-shipped from its new home.
-            self.internal_completions += 1
+            self._internal_by[home] += 1
             self._reship_unready_proxies(fid)
         else:
             # Satisfying the original fires its pending callbacks: dataflow
@@ -716,21 +661,24 @@ class RecoveryManager:
             self._recovery_finished(record)
 
     def _reship_unready_proxies(self, fid: int) -> None:
-        """Re-send ``fid``'s value to consumers whose parcel was lost."""
+        """Re-send ``fid``'s value to consumers whose parcel was lost.
+
+        The stored ship closure resolves the source locality when it runs,
+        so the fresh parcel departs from the value's post-recovery home.
+        """
         for key, proxy in self.dist._proxies.items():
             if key[0] != fid or proxy.is_ready:
                 continue
             if key[1] in self._declared:
                 continue
-            self.dist._reship(key)
+            src_future, ship = self._shippers.get(key, (None, None))
+            if src_future is not None and src_future.is_ready:
+                ship(src_future)
 
     def _recovery_finished(self, record: _CrashRecord) -> None:
         now = self.sim.now
         record.finished_ns = now
-        p = record.locality
-        elapsed = now - record.restore_end_ns
-        self._t_reexec[p] += elapsed
-        self.reexecution_ns += elapsed
+        self._t_reexec[record.locality] += now - record.restore_end_ns
 
     # -- diagnosis (the watchdog and _diagnose read this) -------------------
 

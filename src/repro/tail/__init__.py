@@ -4,12 +4,13 @@ Public surface:
 
 - :class:`repro.tail.config.TailConfig` — every knob, frozen;
 - :class:`repro.tail.sketch.QuantileSketch` — bounded response-time window;
-- :class:`repro.tail.manager.TailManager` — detector + speculation + fencing,
-  one per :class:`repro.dist.DistRuntime` when ``DistConfig.tail`` is set.
+- :class:`repro.tail.manager.TailManager` — detector + hedged parcels +
+  speculation + fencing, one per :class:`repro.dist.DistRuntime` when
+  ``DistConfig.tail`` is set, hooked into every parcelport as a
+  :class:`repro.dist.layer.Layer`.
 
-Hedged parcels live in :mod:`repro.dist.parcel` (the parcelport owns the
-retry ledger the hedge rides on); the typed fence error lives with the rest
-of the failure hierarchy in :mod:`repro.faults.errors`.
+The typed fence error lives with the rest of the failure hierarchy in
+:mod:`repro.faults.errors`.
 """
 
 from repro.tail.config import TailConfig

@@ -7,13 +7,15 @@ or a ``LinkDegradation``-delayed link is never declared dead; correct, but
 it means a 10x-slow node silently inflates the tail with no mitigation.
 One :class:`TailManager` per :class:`repro.dist.DistRuntime` (created only
 when ``DistConfig.tail`` is set — ``None`` leaves the runtime bit-identical
-to the pre-tail code) runs three machines on the shared virtual clock:
+to the pre-tail code) is a :class:`repro.dist.layer.Layer` on the runtime
+and on every parcelport.  It runs four machines on the shared virtual
+clock:
 
 **1. Quantile-based gray-failure detection.**  Every heartbeat arrival
-(:meth:`note_heartbeat_gap`, called from the recovery manager's receive
-path) records the observed gap as a ratio of the nominal period into a
+(:meth:`on_heartbeat`, sent on by the recovery manager's receive path)
+records the observed gap as a ratio of the nominal period into a
 per-locality :class:`repro.tail.sketch.QuantileSketch`; every parcel ack
-(:meth:`note_ack_rtt`) records the round-trip into a per-link sketch.  A
+(:meth:`on_ack`) records the round-trip into a per-link sketch.  A
 periodic sweep flags a locality ``degraded`` when the median gap ratio
 reaches ``degraded_factor`` — or when its *ongoing* silence does, which
 catches a severe straggler before ``min_samples`` slow heartbeats have
@@ -22,7 +24,12 @@ arms mitigation below but never feeds the crash quorum, so the recovery
 manager's "stragglers are not dead" property is preserved by construction
 (the tail layer only ever *reads* detector state).
 
-**2. Speculative re-execution.**  Each sweep clones not-yet-completed
+**2. Hedged parcels.**  A send's first wire copy arms a hedge timer
+(:meth:`on_transmit`, see :meth:`hedge_delay_ns`); if no ack beats it, an
+insurance copy goes out on an alternate path.  The first copy to land
+delivers, the dedup ledger discards the other, and PF401 still holds.
+
+**3. Speculative re-execution.**  Each sweep clones not-yet-completed
 lineage-recorded tasks homed on a degraded locality onto a healthy
 survivor, budgeted by ``max_speculation_frac`` of the work completed so
 far.  First completion wins deterministically: whichever future resolves
@@ -34,12 +41,13 @@ while its original is still pending never wins — infrastructure errors
 (e.g. admission shedding on the survivor) must not fail work the degraded
 locality would eventually finish.
 
-**3. Partition fencing.**  When the crash quorum declares a locality, the
-tail layer bumps that locality's epoch.  Parcels are stamped with their
-sender's epoch at send time; survivors reject stale-epoch arrivals (booked
-as drops, so PF401 conservation holds) and a fenced locality that "comes
-back" gets a typed :class:`repro.faults.errors.FencedEpochError` instead
-of committing stale results.  When the gray detector disagrees with the
+**4. Partition fencing.**  When the crash quorum declares a locality, the
+tail layer bumps that locality's epoch (:meth:`on_declare`).  Parcels are
+stamped with their sender's epoch at send time (:meth:`on_send`);
+survivors reject stale-epoch arrivals (:meth:`on_arrive`, booked as drops,
+so PF401 conservation holds) and a fenced locality that "comes back" gets
+a typed :class:`repro.faults.errors.FencedEpochError` instead of
+committing stale results.  When the gray detector disagrees with the
 quorum — some monitor heard the victim recently, the asymmetric-partition
 signature — the fence diagnosis names the partition.
 
@@ -51,22 +59,36 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+from repro.dist.layer import Layer
+from repro.faults.errors import FencedEpochError
 from repro.runtime.future import Future
 from repro.runtime.task import Task
+from repro.sim.engine import Event
 from repro.tail.config import TailConfig
 from repro.tail.sketch import QuantileSketch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.counters.registry import CounterRegistry
+    from repro.dist.parcel import Parcel, Parcelport
     from repro.dist.runtime import DistRuntime
+    from repro.recovery.manager import RecoveryManager
     from repro.runtime.sim_executor import SimExecutor
 
 
-class TailManager:
-    """Gray-failure detection + hedging support + speculation + fencing."""
+class TailManager(Layer):
+    """Gray-failure detection + hedging + speculation + fencing."""
 
-    def __init__(self, dist: "DistRuntime", config: TailConfig) -> None:
+    def __init__(
+        self,
+        dist: "DistRuntime",
+        config: TailConfig,
+        recovery: "RecoveryManager",
+    ) -> None:
         self.dist = dist
         self.config = config
+        #: the crash-recovery layer this one rides: its heartbeats, lineage
+        #: and quiescence condition
+        self.recovery = recovery
         self.sim = dist.simulator
         n = dist.config.num_localities
         self._n = n
@@ -76,10 +98,14 @@ class TailManager:
                            for _ in range(n)]
         #: per-link sketch of parcel ack round-trips (ns)
         self._link_rtt: dict[tuple[int, int], QuantileSketch] = {}
-        self._degraded: set[int] = set()
+        #: 1 while the detector flags a locality degraded
         self._degraded_flag = [0] * n
-        self.degraded_events = 0
-        # -- hedging ledger (stores indexed by the *sending* locality) -------
+        self._degraded_events = [0] * n
+        # -- hedging (stores indexed by the *sending* locality) --------------
+        #: parcel_id -> armed hedge timer (first unacked copy only)
+        self._hedge_timers: list[dict[int, Event]] = [{} for _ in range(n)]
+        #: parcel_id -> first wire-dispatch time, for ack-RTT sketches
+        self._sent_at: list[dict[int, int]] = [{} for _ in range(n)]
         self._hedges_armed = [0] * n
         self._hedges_sent = [0] * n
         self._hedges_won = [0] * n
@@ -106,7 +132,6 @@ class TailManager:
         self._fenced: set[int] = set()
         self._fenced_rejections = [0] * n
         self._fence_notes: list[str] = []
-        self._register_counters()
         # Future -> Task bookkeeping for loser cancellation: every spawn on
         # every locality reports in (the hook exists only when tail is armed,
         # so a disabled config leaves the executors untouched).
@@ -116,117 +141,70 @@ class TailManager:
                 lambda task, ex=ex: self._note_spawn(task, ex)
             )
 
-    # -- aggregate ledger (DistRuntime.run assembles the result from these) --
-
-    @property
-    def tasks_speculated(self) -> int:
-        return sum(self._spec_by)
-
-    @property
-    def speculation_wins(self) -> int:
-        return sum(self._spec_wins_by)
-
-    @property
-    def speculations_cancelled(self) -> int:
-        return sum(self._spec_cancelled_by)
-
-    @property
-    def originals_cancelled(self) -> int:
-        return sum(self._orig_cancelled_by)
-
-    @property
-    def hedges_armed(self) -> int:
-        return sum(self._hedges_armed)
-
-    @property
-    def hedges_sent(self) -> int:
-        return sum(self._hedges_sent)
-
-    @property
-    def hedges_won(self) -> int:
-        return sum(self._hedges_won)
-
-    @property
-    def hedges_lost(self) -> int:
-        return sum(self._hedges_lost)
-
-    @property
-    def hedges_cancelled(self) -> int:
-        return sum(self._hedges_cancelled)
-
-    @property
-    def fenced_rejections(self) -> int:
-        return sum(self._fenced_rejections)
-
-    @property
-    def localities_degraded(self) -> int:
-        return len(self._degraded)
-
     @property
     def degraded_localities(self) -> tuple[int, ...]:
-        return tuple(sorted(self._degraded))
+        return tuple(p for p, flag in enumerate(self._degraded_flag) if flag)
 
     @property
     def speculation_budget(self) -> int:
         """The amplification cap at the current completed-task count."""
-        return max(1, int(self.config.max_speculation_frac
-                          * self._tasks_completed()))
+        completed = sum(loc.runtime.executor.tasks_completed
+                        for loc in self.dist.localities)
+        return max(1, int(self.config.max_speculation_frac * completed))
 
-    def _tasks_completed(self) -> int:
-        return sum(loc.runtime.executor.tasks_completed
-                   for loc in self.dist.localities)
-
-    def _register_counters(self) -> None:
+    def register_counters(self, registry: "CounterRegistry") -> None:
         """Export the ``/tail{locality#N/total}`` family.
 
         Registered only when the tail layer is enabled, so a disabled run's
         counter snapshot stays bit-identical to the pre-tail runtime.
         """
-        reg = self.dist.registry
 
         def per_loc(store: list[int], i: int) -> Callable[[], float]:
             return lambda: float(store[i])
 
         for i in range(self._n):
             prefix = f"/tail{{locality#{i}/total}}"
-            reg.value(f"{prefix}/count/degraded@gauge",
-                      "1 while the gray detector flags this locality",
-                      source=per_loc(self._degraded_flag, i))
-            reg.value(f"{prefix}/count/epoch@gauge",
-                      "fencing epoch of this locality (bumped on declare)",
-                      source=per_loc(self._epoch, i))
-            reg.derived(f"{prefix}/count/hedges-armed",
-                        per_loc(self._hedges_armed, i),
-                        "hedge timers this locality armed on unacked sends")
-            reg.derived(f"{prefix}/count/hedges-sent",
-                        per_loc(self._hedges_sent, i),
-                        "hedge copies this locality put on the wire")
-            reg.derived(f"{prefix}/count/hedges-won",
-                        per_loc(self._hedges_won, i),
-                        "hedge copies that delivered first")
-            reg.derived(f"{prefix}/count/hedges-lost",
-                        per_loc(self._hedges_lost, i),
-                        "hedge copies beaten by the original (deduplicated)")
-            reg.derived(f"{prefix}/count/hedges-cancelled",
-                        per_loc(self._hedges_cancelled, i),
-                        "hedge timers cancelled by an ack before firing")
-            reg.derived(f"{prefix}/count/speculations",
-                        per_loc(self._spec_by, i),
-                        "tasks of this locality cloned onto a survivor")
-            reg.derived(f"{prefix}/count/speculation-wins",
-                        per_loc(self._spec_wins_by, i),
-                        "clones that completed before their original")
-            reg.derived(f"{prefix}/count/speculations-cancelled",
-                        per_loc(self._spec_cancelled_by, i),
-                        "clones called off (original won, or clone failed)")
-            reg.derived(f"{prefix}/count/originals-cancelled",
-                        per_loc(self._orig_cancelled_by, i),
-                        "original tasks cancelled after their clone won")
-            reg.derived(f"{prefix}/count/fenced-rejections",
-                        per_loc(self._fenced_rejections, i),
-                        "stale-epoch parcels from this locality rejected")
+            registry.value(f"{prefix}/count/degraded@gauge",
+                           "1 while the gray detector flags this locality",
+                           source=per_loc(self._degraded_flag, i))
+            registry.value(f"{prefix}/count/epoch@gauge",
+                           "fencing epoch of this locality (bumped on declare)",
+                           source=per_loc(self._epoch, i))
+            for path, store, description in (
+                ("count/degraded-events", self._degraded_events,
+                 "healthy -> degraded transitions of this locality"),
+                ("count/hedges-armed", self._hedges_armed,
+                 "hedge timers this locality armed on unacked sends"),
+                ("count/hedges-sent", self._hedges_sent,
+                 "hedge copies this locality put on the wire"),
+                ("count/hedges-won", self._hedges_won,
+                 "hedge copies that delivered first"),
+                ("count/hedges-lost", self._hedges_lost,
+                 "hedge copies beaten by the original (deduplicated)"),
+                ("count/hedges-cancelled", self._hedges_cancelled,
+                 "hedge timers cancelled by an ack before firing"),
+                ("count/speculations", self._spec_by,
+                 "tasks of this locality cloned onto a survivor"),
+                ("count/speculation-wins", self._spec_wins_by,
+                 "clones that completed before their original"),
+                ("count/speculations-cancelled", self._spec_cancelled_by,
+                 "clones called off (original won, or clone failed)"),
+                ("count/originals-cancelled", self._orig_cancelled_by,
+                 "original tasks cancelled after their clone won"),
+                ("count/fenced-rejections", self._fenced_rejections,
+                 "stale-epoch parcels from this locality rejected"),
+            ):
+                registry.derived(
+                    f"{prefix}/{path}", per_loc(store, i), description
+                )
+        # System-wide, so registered once (on locality 0's name).
+        registry.value(
+            "/tail{locality#0/total}/count/speculation-budget@gauge",
+            "speculation budget: max_speculation_frac of completed tasks",
+            source=lambda: float(self.speculation_budget),
+        )
 
-    # -- observation hooks (recovery manager + parcelport call these) --------
+    # -- observation hooks ------------------------------------------------------
 
     def _note_spawn(self, task: Task, executor: "SimExecutor") -> None:
         hook = task.failure_hook
@@ -240,10 +218,9 @@ class TailManager:
                 self._doomed.discard(owner.future_id)
                 executor.cancel_task(task)
 
-    def note_heartbeat_gap(
+    def on_heartbeat(
         self, monitor: int, peer: int, gap_ns: int, nominal_ns: int
     ) -> None:
-        """One heartbeat from ``peer`` arrived ``gap_ns`` after the last."""
         if nominal_ns > 0:
             self._gap_ratio[peer].add(gap_ns / nominal_ns)
 
@@ -255,7 +232,7 @@ class TailManager:
             self._link_rtt[(src, dst)] = sketch
         sketch.add(float(rtt_ns))
 
-    # -- hedging support (the parcelport owns the timers; we own the math) ---
+    # -- hedged parcels --------------------------------------------------------
 
     def hedge_delay_ns(self, src: int, dst: int) -> int | None:
         """How long to wait before hedging a send on this link.
@@ -275,20 +252,72 @@ class TailManager:
         return max(self.config.hedge_min_delay_ns,
                    int(self.config.hedge_multiplier * quantile))
 
-    def note_hedge_armed(self, src: int) -> None:
-        self._hedges_armed[src] += 1
+    def on_transmit(self, port, peer, parcel, attempt, head_delay_ns,
+                    on_delivered) -> None:
+        """Arm the hedge timer on a send's first wire copy."""
+        if attempt != 0:
+            return
+        src = port.locality
+        self._sent_at[src][parcel.parcel_id] = self.sim.now
+        delay = self.hedge_delay_ns(src, peer.locality)
+        if delay is not None:
+            self._hedge_timers[src][parcel.parcel_id] = self.sim.schedule(
+                head_delay_ns + delay,
+                lambda: self._hedge(port, peer, parcel, on_delivered),
+            )
+            self._hedges_armed[src] += 1
 
-    def note_hedge_sent(self, src: int) -> None:
+    def _hedge(self, port: "Parcelport", peer: "Parcelport",
+               parcel: "Parcel", on_delivered) -> None:
+        """The hedging delay elapsed with no ack: send an insurance copy.
+
+        The copy is not subject to injected drops: it models an
+        independent alternate path, and sampling the drop stream again
+        would perturb the fates of unrelated parcels.  First delivery wins;
+        the loser is discarded by the (source, id) dedup ledger and its ack
+        settles the same retry timer.
+        """
+        src = port.locality
+        self._hedge_timers[src].pop(parcel.parcel_id, None)
+        if port.halted or not port.is_awaiting(parcel.parcel_id):
+            return
         self._hedges_sent[src] += 1
 
-    def note_hedge_won(self, src: int) -> None:
-        self._hedges_won[src] += 1
+        def land() -> None:
+            # Lost: beaten by the original (deduplicated), or the peer died.
+            won = port.arrive(peer, parcel, on_delivered)
+            (self._hedges_won if won else self._hedges_lost)[src] += 1
 
-    def note_hedge_lost(self, src: int) -> None:
-        self._hedges_lost[src] += 1
+        port.extra_copy(
+            port.transfer_ns(peer.locality, parcel.payload_bytes), land
+        )
 
-    def note_hedge_cancelled(self, src: int) -> None:
-        self._hedges_cancelled[src] += 1
+    def on_ack(self, port: "Parcelport", parcel: "Parcel") -> None:
+        """Cancel the hedge, then sample the RTT from the first dispatch."""
+        src = port.locality
+        sent = self._sent_at[src].get(parcel.parcel_id)
+        self._settle(src, parcel.parcel_id)
+        if sent is not None:
+            self.note_ack_rtt(src, parcel.destination, self.sim.now - sent)
+
+    def on_settle(self, port: "Parcelport", parcel: "Parcel") -> None:
+        """An armed-but-unfired timer is cancelled and counted, so the
+        ``armed == sent + cancelled`` ledger stays exact whether the parcel
+        was acked, declared lost, abandoned, or its sender halted."""
+        self._settle(port.locality, parcel.parcel_id)
+
+    def _settle(self, src: int, parcel_id: int) -> None:
+        timer = self._hedge_timers[src].pop(parcel_id, None)
+        if timer is not None:
+            timer.cancel()
+            self._hedges_cancelled[src] += 1
+        self._sent_at[src].pop(parcel_id, None)
+
+    def on_halt(self, port: "Parcelport") -> None:
+        src = port.locality
+        for parcel_id in list(self._hedge_timers[src]):
+            self._settle(src, parcel_id)
+        self._sent_at[src].clear()
 
     # -- fencing --------------------------------------------------------------
 
@@ -302,20 +331,39 @@ class TailManager:
         """Does a parcel stamped ``epoch`` from ``source`` predate its fence?"""
         return self.config.fencing and epoch < self._epoch[source]
 
-    def note_fenced_rejection(self, source: int) -> None:
-        self._fenced_rejections[source] += 1
+    def on_send(self, port: "Parcelport", parcel: "Parcel") -> None:
+        """Reject a fenced sender's send; stamp everyone else's epoch."""
+        src = port.locality
+        if src in self._fenced:
+            # A declared locality that "came back" must not commit stale
+            # results.
+            current = self._epoch[src]
+            raise FencedEpochError(
+                src,
+                current - 1,
+                current,
+                detail=f"send to locality {parcel.destination} rejected",
+            )
+        parcel.epoch = self._epoch[src]
 
-    def note_declared(self, p: int) -> None:
+    def on_arrive(self, port: "Parcelport", parcel: "Parcel") -> bool:
+        """Partition fence: reject a copy whose sender was declared dead
+        after it departed; committing it would resurrect a superseded
+        epoch."""
+        if not self.is_stale(parcel.source, parcel.epoch):
+            return False
+        self._fenced_rejections[parcel.source] += 1
+        return True
+
+    def on_declare(self, p: int) -> None:
         """The crash quorum declared ``p``: fence it and settle its flag."""
-        if self._degraded_flag[p]:
-            # Declared supersedes degraded — the locality is dead, not gray.
-            self._degraded_flag[p] = 0
-            self._degraded.discard(p)
+        # Declared supersedes degraded — the locality is dead, not gray.
+        self._degraded_flag[p] = 0
         if not self.config.fencing:
             return
         self._epoch[p] += 1
         self._fenced.add(p)
-        mgr = self.dist.recovery_manager
+        mgr = self.recovery
         now = self.sim.now
         horizon = self.config.degraded_factor * mgr.config.heartbeat_interval_ns
         dissenters = [
@@ -340,7 +388,7 @@ class TailManager:
 
     # -- the detector sweep ---------------------------------------------------
 
-    def start(self) -> None:
+    def on_start(self) -> None:
         """Arm the sweep chain (called from DistRuntime.run)."""
         self._schedule_sweep()
 
@@ -351,7 +399,7 @@ class TailManager:
         # Liveness rides the recovery manager's quiescence condition: the
         # chain re-arms only while application work, parcels, or an open
         # recovery still exist, so the event heap drains at run end.
-        if not self.dist.recovery_manager._active():
+        if not self.recovery._active():
             return
         self._update_flags()
         if self.config.speculate:
@@ -359,7 +407,7 @@ class TailManager:
         self._schedule_sweep()
 
     def _update_flags(self) -> None:
-        mgr = self.dist.recovery_manager
+        mgr = self.recovery
         now = self.sim.now
         nominal = mgr.config.heartbeat_interval_ns
         monitors = [
@@ -369,9 +417,7 @@ class TailManager:
         ]
         for p in range(self._n):
             if p in mgr._declared:
-                if self._degraded_flag[p]:
-                    self._degraded_flag[p] = 0
-                    self._degraded.discard(p)
+                self._degraded_flag[p] = 0
                 continue
             flagged = False
             sketch = self._gap_ratio[p]
@@ -386,25 +432,22 @@ class TailManager:
                 if gaps and min(gaps) >= self.config.degraded_factor * nominal:
                     flagged = True
             if flagged and not self._degraded_flag[p]:
-                self._degraded_flag[p] = 1
-                self._degraded.add(p)
-                self.degraded_events += 1
-            elif not flagged and self._degraded_flag[p]:
-                self._degraded_flag[p] = 0
-                self._degraded.discard(p)
+                self._degraded_events[p] += 1
+            self._degraded_flag[p] = int(flagged)
 
     # -- speculative re-execution ---------------------------------------------
 
     def _speculate(self) -> None:
-        if not self._degraded:
+        degraded = self.degraded_localities
+        if not degraded:
             return
-        mgr = self.dist.recovery_manager
+        mgr = self.recovery
         healthy = [
             loc.index
             for loc in self.dist.localities
             if not loc.crashed
             and loc.index not in mgr._declared
-            and loc.index not in self._degraded
+            and not self._degraded_flag[loc.index]
         ]
         if not healthy:
             return
@@ -412,9 +455,9 @@ class TailManager:
         owner = self.dist._owner
         # Snapshot: spawning a clone records new lineage mid-iteration.
         lineage = list(mgr._lineage.items())
-        for p in sorted(self._degraded):
+        for p in degraded:
             for fid, lin in lineage:
-                if self.tasks_speculated >= budget:
+                if sum(self._spec_by) >= budget:
                     return
                 if owner.get(fid) != p:
                     continue
@@ -480,7 +523,7 @@ class TailManager:
         st["resolved"] = True
         p = st["home"]
         clone: Future = st["clone"]
-        original = self.dist.recovery_manager._lineage[fid].future
+        original = self.recovery._lineage[fid].future
         if clone.has_exception:
             # Infrastructure failure on the survivor (shed, crash): the
             # speculation is called off, never propagated — the degraded
@@ -513,7 +556,7 @@ class TailManager:
     def diagnose(self) -> list[str]:
         """Gray-detector / speculation / fence state, one string per finding."""
         parts: list[str] = []
-        for p in sorted(self._degraded):
+        for p in self.degraded_localities:
             sketch = self._gap_ratio[p]
             if len(sketch) >= self.config.min_samples:
                 parts.append(
@@ -527,17 +570,19 @@ class TailManager:
                     f"{self.config.degraded_factor:.1f}x the heartbeat period"
                 )
         parts.extend(self._fence_notes)
-        if self.tasks_speculated:
+        speculated = sum(self._spec_by)
+        if speculated:
             parts.append(
-                f"speculation: {self.tasks_speculated} clone(s), "
-                f"{self.speculation_wins} won, "
-                f"{self.speculations_cancelled} called off, "
-                f"{self.originals_cancelled} original(s) cancelled"
+                f"speculation: {speculated} clone(s), "
+                f"{sum(self._spec_wins_by)} won, "
+                f"{sum(self._spec_cancelled_by)} called off, "
+                f"{sum(self._orig_cancelled_by)} original(s) cancelled"
             )
-        if self.hedges_sent:
+        sent = sum(self._hedges_sent)
+        if sent:
             parts.append(
-                f"hedging: {self.hedges_sent} of {self.hedges_armed} armed "
-                f"hedge(s) sent, {self.hedges_won} won, "
-                f"{self.hedges_lost} deduplicated"
+                f"hedging: {sent} of {sum(self._hedges_armed)} armed "
+                f"hedge(s) sent, {sum(self._hedges_won)} won, "
+                f"{sum(self._hedges_lost)} deduplicated"
             )
         return parts

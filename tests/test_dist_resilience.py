@@ -70,6 +70,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             fault_free_config(faults=FaultPlan(crashes=(CrashAt(9, 100),)))
 
+    def test_degradation_link_in_range(self):
+        # An out-of-range endpoint would silently never match any link.
+        for window in (
+            LinkDegradation(start_ns=0, end_ns=10, src=9),
+            LinkDegradation(start_ns=0, end_ns=10, src=0, dst=9),
+        ):
+            with pytest.raises(ValueError, match="endpoint 9 outside"):
+                fault_free_config(faults=FaultPlan(degradations=(window,)))
+
 
 class TestFaultedStencil:
     def test_completes_conserves_and_validates(self):

@@ -180,6 +180,15 @@ class TestRunContract:
         )
         assert total == 1.0
 
+    def test_app_tasks_completed_without_crash_recovery(self):
+        # Regression: the field read 0 unless crash recovery was on.
+        dist = DistRuntime(num_localities=2, cores_per_locality=1, seed=0)
+        src = dist.async_(lambda: 1, locality=0, work=FixedWork(1_000))
+        dist.dataflow(lambda x: x, [src], locality=1, work=FixedWork(1_000))
+        result = dist.run()
+        assert result.app_tasks_completed == 2
+        assert isinstance(result.app_tasks_completed, int)
+
     def test_idle_decomposition_bounded(self):
         result = run_dist_stencil(
             DistConfig(num_localities=2, cores_per_locality=4, seed=0),

@@ -47,6 +47,12 @@ class TestPlanValidation:
                 stragglers=(Straggler(0, 2.0), Straggler(0, 3.0))
             )
 
+    def test_one_crash_per_locality(self):
+        # Two crash times for one locality would make the crash instant
+        # depend on tuple order.
+        with pytest.raises(ValueError, match="at most one CrashAt"):
+            FaultPlan(crashes=(CrashAt(1, 100), CrashAt(1, 50)))
+
     def test_straggler_factor_at_least_one(self):
         with pytest.raises(ValueError):
             Straggler(0, 0.5)
@@ -58,6 +64,13 @@ class TestPlanValidation:
             LinkDegradation(start_ns=0, end_ns=10, latency_factor=0.5)
         with pytest.raises(ValueError):
             LinkDegradation(start_ns=0, end_ns=10, bandwidth_factor=0.0)
+
+    def test_degradation_endpoints_non_negative(self):
+        # A negative endpoint would silently never match any link.
+        with pytest.raises(ValueError, match="endpoint"):
+            LinkDegradation(start_ns=0, end_ns=10, src=-1)
+        with pytest.raises(ValueError, match="endpoint"):
+            LinkDegradation(start_ns=0, end_ns=10, dst=-2)
 
     def test_none_plan_is_inactive(self):
         assert not FaultPlan.none().is_active

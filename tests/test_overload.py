@@ -31,6 +31,7 @@ from repro.overload.admission import (
 from repro.overload.breaker import BreakerParams, BreakerState, CircuitBreaker
 from repro.overload.config import CreditParams, OverloadConfig
 from repro.overload.errors import CircuitOpenError, TaskShedError
+from repro.overload.gate import SendGate
 from repro.overload.governor import (
     GovernorParams,
     GovernorSignals,
@@ -72,12 +73,9 @@ class TestConfigValidation:
         assert OverloadConfig(admission=AdmissionParams()).is_active
 
     def test_credits_require_retry_on_parcelport(self):
-        sim = Simulator()
+        port = Parcelport(0, Simulator(), NetworkModel(), CounterRegistry())
         with pytest.raises(ValueError, match="require RetryParams"):
-            Parcelport(
-                0, sim, NetworkModel(), CounterRegistry(),
-                credits=CreditParams(window=4),
-            )
+            SendGate(port, credits=CreditParams(window=4))
 
     def test_breaker_requires_retry_on_dist_config(self):
         with pytest.raises(ValueError, match="reliable transport"):
@@ -412,7 +410,8 @@ def two_ports(
     breaker: BreakerParams | None = None,
     dead_letter_capacity: int = 1024,
 ):
-    """A sender (locality 0, optionally faulty) wired to a receiver."""
+    """A sender (locality 0, optionally faulty, optionally gated by
+    ``sender.layers[0]``) wired to a receiver."""
     sim = Simulator()
     net = NetworkModel()
     registry = CounterRegistry()
@@ -420,10 +419,12 @@ def two_ports(
         0, sim, net, registry,
         retry=retry,
         injector=FaultInjector(plan) if plan is not None else None,
-        credits=credits,
-        breaker=breaker,
         dead_letter_capacity=dead_letter_capacity,
     )
+    if credits is not None or breaker is not None:
+        gate = SendGate(sender, credits=credits, breaker=breaker)
+        gate.register_counters(registry)
+        sender.layers = (gate,)
     receiver = Parcelport(1, sim, net, registry, retry=retry)
     ports = {0: sender, 1: receiver}
     sender.connect(ports)
@@ -448,13 +449,14 @@ class TestCreditFlowControl:
         sim.run()
         assert len(delivered) == 5
         assert sender.unacked_high_water(1) == 2
-        assert sender.max_unacked_in_flight == 2
-        # Three of the five sends had to park for a credit.
-        assert sender.sends_deferred == 3
-        assert sender.credits_exhausted_ns > 0
-        assert sender.waiting_sends == 0  # lane drained
         snap = registry.snapshot(sim.now)
+        assert snap.get(
+            "/parcels{locality#0/total}/count/unacked-high-water@gauge"
+        ) == 2
+        assert sender.waiting_sends == 0  # lane drained
+        # Three of the five sends had to park for a credit.
         assert snap.get("/overload{locality#0/total}/count/credit-waits") == 3
+        assert snap.get("/overload{locality#0/total}/count/breaker-deferred") == 0
         assert (
             snap.get("/overload{locality#0/total}/time/credits-exhausted") > 0
         )
@@ -462,14 +464,19 @@ class TestCreditFlowControl:
     def test_baseline_ledger_reports_high_water_without_gating(self):
         # Retry without credits: the unacked ledger still measures, so a
         # baseline run can report how wide the window would have needed to be.
-        sim, _, sender, _ = two_ports(retry=RetryParams(max_jitter_ns=0))
+        sim, registry, sender, _ = two_ports(retry=RetryParams(max_jitter_ns=0))
         delivered = []
         for _ in range(5):
             sender.send(1, "v", 256, delivered.append)
         sim.run()
         assert len(delivered) == 5
-        assert sender.max_unacked_in_flight == 5
-        assert sender.sends_deferred == 0
+        snap = registry.snapshot(sim.now)
+        assert snap.get(
+            "/parcels{locality#0/total}/count/unacked-high-water@gauge"
+        ) == 5
+        # No gate, so nothing parked and no overload counters exist.
+        assert sender.layers == ()
+        assert not any(name.startswith("/overload") for name in snap.values)
         assert sender.waiting_sends == 0
 
     def test_retransmission_rides_the_same_credit(self):
@@ -487,7 +494,7 @@ class TestCreditFlowControl:
             sender.send(1, "v", 256, delivered.append)
         sim.run()
         assert len(delivered) == 6
-        assert sender.max_unacked_in_flight == 2
+        assert sender.unacked_high_water(1) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +586,7 @@ class TestBreakerOnTheWire:
         assert info.value.source == 0
         assert info.value.destination == 1
         assert info.value.consecutive_failures == 1
-        assert sender.fast_failures == 1
+        assert sender.layers[0].fast_failures == 1
         snap = registry.snapshot(sim.now)
         # The refused send was never booked: conservation is untouched.
         assert snap.get("/parcels{locality#0/total}/count/sent") == 1
@@ -598,7 +605,7 @@ class TestBreakerOnTheWire:
         )
         sender.send(1, "v", 64, lambda p: None, on_lost=lambda p, n: None)
         sim.run_until(1_000_000)
-        assert sender.breakers[1].state is BreakerState.OPEN
+        assert sender.layers[0].breakers[1].state is BreakerState.OPEN
         sender.send(1, "v", 64, lambda p: None, on_lost=lambda p, n: None)
         sim.run_until(2_000_000)  # still inside the cooldown
         assert sender.waiting_sends == 1

@@ -248,7 +248,7 @@ class TestTailManagerUnits:
 
     def test_fencing_disabled_never_stale(self):
         tm = self._manager(TailConfig(fencing=False))
-        tm.note_declared(1)
+        tm.on_declare(1)
         assert tm.epoch_of(1) == 0
         assert not tm.is_fenced(1)
         assert not tm.is_stale(1, 0)

@@ -12,7 +12,9 @@ from repro.verify.invariants import (
     DEPENDENCY_ORDER_CONSERVED,
     INVARIANTS,
     PARCELS_CONSERVED,
+    RECOVERY_CONSERVED,
     RERUN_IDENTICAL,
+    SPECULATION_CONSERVED,
     SPILL_CONSERVED,
     TASKS_CONSERVED,
 )
@@ -22,27 +24,54 @@ def _snapshot(values=None):
     return CounterSnapshot(timestamp_ns=0, values=values or {}, average_pairs={})
 
 
-def _dist_result(**overrides) -> DistRunResult:
-    base = dict(
+#: DistRunResult field -> the locality-0 counter it folds
+_COUNTER_OF = {
+    field: f"/{family}{{locality#0/total}}/{path}"
+    for field, family, path in (
+        ("parcels_sent", "parcels", "count/sent"),
+        ("parcels_received", "parcels", "count/received"),
+        ("parcels_dropped", "parcels", "count/dropped"),
+        ("parcels_retransmitted", "parcels", "count/retransmitted"),
+        ("duplicates_discarded", "parcels", "count/duplicates-discarded"),
+        ("crashes_detected", "recovery", "count/declared"),
+        ("tasks_checkpointed", "recovery", "count/checkpointed"),
+        ("tasks_restored", "recovery", "count/restored"),
+        ("tasks_reexecuted", "recovery", "count/reexecuted"),
+        ("tasks_lost", "recovery", "count/lost"),
+        ("detection_ns", "recovery", "time/detection"),
+        ("restore_ns", "recovery", "time/restore"),
+        ("reexecution_ns", "recovery", "time/reexecution"),
+        ("recovery_total_ns", "recovery", "time/total"),
+        ("hedges_armed", "tail", "count/hedges-armed"),
+        ("hedges_sent", "tail", "count/hedges-sent"),
+        ("hedges_won", "tail", "count/hedges-won"),
+        ("hedges_lost", "tail", "count/hedges-lost"),
+        ("hedges_cancelled", "tail", "count/hedges-cancelled"),
+        ("tasks_speculated", "tail", "count/speculations"),
+        ("speculation_wins", "tail", "count/speculation-wins"),
+        ("speculations_cancelled", "tail", "count/speculations-cancelled"),
+        ("originals_cancelled", "tail", "count/originals-cancelled"),
+        ("speculation_budget", "tail", "count/speculation-budget@gauge"),
+    )
+}
+
+
+def _dist_result(**fields) -> DistRunResult:
+    """A one-locality result whose named fields read the given values
+    through a synthetic counter snapshot."""
+    values = {_COUNTER_OF[name]: float(v) for name, v in fields.items()}
+    result = DistRunResult(
         execution_time_ns=1_000,
-        counters=_snapshot(),
+        counters=_snapshot(values),
         per_locality=(_snapshot(),),
         platform_name="haswell",
         num_localities=1,
         cores_per_locality=2,
         tasks_executed=4,
-        parcels_sent=0,
-        parcels_received=0,
-        bytes_sent=0,
-        serialization_time_ns=0,
-        network_wait_ns=0,
-        agas_cache_hits=0,
-        agas_cache_misses=0,
-        total_exec_ns=0,
-        total_mgmt_ns=0,
     )
-    base.update(overrides)
-    return DistRunResult(**base)
+    for name, value in fields.items():
+        assert getattr(result, name) == value, name
+    return result
 
 
 def _run_result(values=None, **overrides) -> RunResult:
@@ -103,6 +132,94 @@ def test_parcels_conserved_failure_text_is_the_legacy_text():
     with pytest.raises(AssertionError) as via_method:
         result.assert_parcels_conserved()
     assert str(via_method.value) == expected
+
+
+# -- PF408: recovery conservation, one violating snapshot per clause --------------
+
+#: a recovered run whose books balance: 3 lost and re-executed, 2 restored
+#: from 5 checkpointed, and the recovery time decomposing exactly
+_RECOVERED = dict(
+    crashes_detected=1, tasks_lost=3, tasks_reexecuted=3,
+    tasks_restored=2, tasks_checkpointed=5,
+    detection_ns=100, restore_ns=20, reexecution_ns=300,
+    recovery_total_ns=420,
+)
+
+
+def test_recovery_conserved_holds_on_balanced_books():
+    assert RECOVERY_CONSERVED.holds(_dist_result(**_RECOVERED))
+    assert RECOVERY_CONSERVED.holds(_dist_result())
+
+
+@pytest.mark.parametrize(
+    "fields, text",
+    [
+        (dict(tasks_lost=2, tasks_reexecuted=2), "with no crash declared"),
+        ({**_RECOVERED, "tasks_reexecuted": 2},
+         "3 task(s) lost to the crash but 2 re-executed"),
+        ({**_RECOVERED, "tasks_restored": 6},
+         "6 task(s) restored exceeds the 5 ever made durable"),
+        ({**_RECOVERED, "recovery_total_ns": 421},
+         "time-to-recover 421 ns != detection 100 + restore 20 + "
+         "re-execution 300 ns"),
+    ],
+    ids=["lost-without-crash", "lost-not-reexecuted", "restore-not-durable",
+         "time-not-decomposed"],
+)
+def test_recovery_conserved_names_each_violated_clause(fields, text):
+    findings = RECOVERY_CONSERVED.check(_dist_result(**fields))
+    assert [f.rule_id for f in findings] == ["PF408"]
+    assert findings[0].message.startswith("recovery conservation violated: ")
+    assert text in findings[0].message
+
+
+# -- PF410: speculation conservation, one violating snapshot per clause -----------
+
+#: 4 clones (3 won, 1 called off, 2 originals cancelled) within a budget of
+#: 5, and 6 hedges armed (4 sent: 3 won, 1 lost; 2 cancelled)
+_SPECULATED = dict(
+    tasks_speculated=4, speculation_wins=3, speculations_cancelled=1,
+    originals_cancelled=2, speculation_budget=5,
+    hedges_armed=6, hedges_sent=4, hedges_won=3, hedges_lost=1,
+    hedges_cancelled=2,
+)
+
+
+def test_speculation_conserved_holds_on_balanced_books():
+    assert SPECULATION_CONSERVED.holds(_dist_result(**_SPECULATED))
+    assert SPECULATION_CONSERVED.holds(_dist_result())
+
+
+@pytest.mark.parametrize(
+    "fields, text",
+    [
+        ({**_SPECULATED, "speculation_wins": 2},
+         "4 task(s) speculated != 2 clone wins + 1 called off"),
+        ({**_SPECULATED, "originals_cancelled": 4},
+         "4 original(s) cancelled exceeds 3 clone win(s)"),
+        ({**_SPECULATED, "hedges_won": 2},
+         "4 hedge(s) sent != 2 won + 1 deduplicated"),
+        ({**_SPECULATED, "hedges_cancelled": 1},
+         "6 hedge timer(s) armed != 4 fired + 1 cancelled"),
+        ({**_SPECULATED, "speculation_budget": 3},
+         "4 task(s) speculated exceeds the work-amplification budget of 3"),
+        # Only an inconsistent ledger reaches this clause: with no clone
+        # speculated, the first two clauses already forbid any cancelled
+        # original unless the call-off count is negative.
+        (dict(speculation_wins=1, speculations_cancelled=-1,
+              originals_cancelled=1),
+         "1 original(s) cancelled with no speculation launched"),
+    ],
+    ids=["unresolved-clone", "original-without-win", "hedge-fate",
+         "hedge-timer", "over-budget", "cancel-without-speculation"],
+)
+def test_speculation_conserved_names_each_violated_clause(fields, text):
+    findings = SPECULATION_CONSERVED.check(_dist_result(**fields))
+    assert [f.rule_id for f in findings] == ["PF410"]
+    assert findings[0].message.startswith(
+        "speculation conservation violated: "
+    )
+    assert text in findings[0].message
 
 
 # -- PF402 / PF403 -----------------------------------------------------------------
