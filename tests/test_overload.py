@@ -217,6 +217,18 @@ class TestAdmissionPolicies:
         assert result.peak_queue_depth > BOUND
         assert result.tasks_offered == outcome.offered
 
+    def test_offered_load_registers_no_qos_counters(self):
+        # figO's governor reads its high-QoS signal from these counters;
+        # single-class offered load must leave that signal at zero even
+        # while it sheds, or the governor would coarsen for the wrong reason.
+        outcome = _overloaded("shed")
+        assert outcome.shed > 0
+        counters = outcome.result.counters
+        names = [*counters.values, *counters.average_pairs]
+        assert not [n for n in names if n.startswith("/qos")]
+        signals = GovernorSignals.from_run(outcome.result)
+        assert signals.high_qos_shed_fraction == 0.0
+
 
 class TestShedVictimSelection:
     """The shed policy evicts the lowest-priority staged task, newest
