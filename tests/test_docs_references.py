@@ -1,0 +1,58 @@
+"""The docs name only code that exists.
+
+Every ``repro.`` dotted name and every ``repro/...py`` path in the user
+docs must resolve by import plus ``getattr``.  CHANGES.md and ROADMAP.md
+are history and may name code that is gone.
+"""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = sorted(
+    [
+        ROOT / "README.md",
+        ROOT / "DESIGN.md",
+        ROOT / "EXPERIMENTS.md",
+        ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+        *(ROOT / "docs").glob("*.md"),
+    ]
+)
+
+DOTTED = re.compile(r"\brepro(?:\.\w+)+")
+PATH = re.compile(r"\brepro(?:/\w+)+\.py\b")
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix, then ``getattr`` the rest."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def references(text: str) -> set[str]:
+    names = set(DOTTED.findall(text))
+    for path in PATH.findall(text):
+        module = path.removesuffix(".py").replace("/", ".")
+        names.add(module.removesuffix(".__init__"))
+    return names
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_docs_name_only_existing_code(doc):
+    missing = sorted(
+        name for name in references(doc.read_text()) if not _resolves(name)
+    )
+    assert not missing, f"{doc.name} names code that does not exist: {missing}"
