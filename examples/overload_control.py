@@ -33,8 +33,12 @@ from repro.overload import (
     OverloadConfig,
     OverloadGovernor,
 )
-from repro.overload.workload import OfferedLoad, run_offered_load
-from repro.runtime.runtime import RuntimeConfig
+from repro.qos import (
+    PeriodicArrivals,
+    QosServiceConfig,
+    Tenant,
+    run_qos_service,
+)
 
 NUM_CORES = 8
 WINDOW_NS = 300_000  # open-loop arrival window
@@ -47,16 +51,21 @@ STENCIL = DistStencilConfig(
 
 
 def offered(utilization, *, grain_ns=2_500, admission=None, seed=0):
-    config = RuntimeConfig(
+    # One unclassed tenant arriving every grain / (cores * u) ns offers
+    # u times the machine's pure-execution capacity.
+    tenant = Tenant(
+        0, "offered", None, grain_ns,
+        PeriodicArrivals(grain_ns / (NUM_CORES * utilization)),
+    )
+    config = QosServiceConfig(
         platform="haswell",
         num_cores=NUM_CORES,
         seed=seed,
+        window_ns=WINDOW_NS,
         overload=OverloadConfig(admission=admission) if admission else None,
+        scheduler="priority-local",
     )
-    load = OfferedLoad.at_utilization(
-        utilization, grain_ns=grain_ns, num_cores=NUM_CORES, window_ns=WINDOW_NS
-    )
-    return run_offered_load(config, load)
+    return run_qos_service([tenant], config)
 
 
 def admission_demo() -> None:
@@ -65,12 +74,13 @@ def admission_demo() -> None:
     for utilization in (1.0, 4.0):
         unbounded = offered(utilization)
         shed = offered(utilization, admission=shed_params)
+        stats = shed.stats[0]
         print(
             f"offered {utilization:.0f}x capacity: "
             f"unbounded t={unbounded.result.execution_time_ns / 1e3:7.1f} us"
             f"  |  shed t={shed.result.execution_time_ns / 1e3:7.1f} us, "
-            f"completed {shed.completed}/{shed.offered}, "
-            f"shed {shed.shed} (peak depth "
+            f"completed {stats.completed}/{stats.arrived}, "
+            f"shed {stats.shed} (peak depth "
             f"{shed.result.peak_queue_depth:.0f} <= 64)"
         )
     print(

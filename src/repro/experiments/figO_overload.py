@@ -52,12 +52,13 @@ from repro.overload import (
     OverloadConfig,
     OverloadGovernor,
 )
-from repro.overload.workload import (
-    OfferedLoad,
-    OfferedLoadOutcome,
-    run_offered_load,
+from repro.qos import (
+    PeriodicArrivals,
+    QosServiceConfig,
+    QosServiceOutcome,
+    Tenant,
+    run_qos_service,
 )
-from repro.runtime.runtime import RuntimeConfig
 from repro.taskbench import TaskBenchSpec, run_taskbench_dist
 from repro.verify.invariants import (
     ADMISSION_CONSERVED,
@@ -129,20 +130,22 @@ def _offered_run(
     *,
     grain_ns: int = 2_500,
     seed: int = 0,
-) -> OfferedLoadOutcome:
-    load = OfferedLoad.at_utilization(
-        utilization,
-        grain_ns=grain_ns,
-        num_cores=NUM_CORES,
-        window_ns=_arrival_window_ns(scale),
+) -> QosServiceOutcome:
+    # Unclassed, so no /qos counter feeds the governor's high-QoS signal;
+    # a gap of grain / (cores * u) offers u times the machine's capacity.
+    offered = Tenant(
+        0, "offered", None, grain_ns,
+        PeriodicArrivals(grain_ns / (NUM_CORES * utilization)),
     )
-    config = RuntimeConfig(
+    config = QosServiceConfig(
         platform=PLATFORM,
         num_cores=NUM_CORES,
         seed=seed,
+        window_ns=_arrival_window_ns(scale),
         overload=_admission_config(policy),
+        scheduler="priority-local",
     )
-    return run_offered_load(config, load)
+    return run_qos_service([offered], config)
 
 
 def _dist_stencil(
@@ -221,8 +224,9 @@ def run(scale: Scale) -> FigureResult:
         for utilization in UTILIZATIONS:
             out = _offered_run(scale, utilization, policy)
             result = out.result
+            offered = out.stats[0]
             if not ADMISSION_CONSERVED.holds(
-                out.offered, out.completed, out.shed
+                offered.arrived, offered.completed, offered.shed
             ):
                 conservation_violations += 1
             if policy == "spill" and not SPILL_CONSERVED.holds(result):
@@ -230,7 +234,7 @@ def run(scale: Scale) -> FigureResult:
             goodput.append((utilization, out.goodput))
             times.append((utilization, result.execution_time_s))
             peaks.append((utilization, result.peak_queue_depth))
-            shed.append((utilization, float(out.shed)))
+            shed.append((utilization, float(offered.shed)))
             backpressure.append(
                 (utilization, result.backpressure_wait_ns / 1e9)
             )

@@ -12,8 +12,8 @@ behaviour bit-for-bit):
   retry transport;
 - :mod:`repro.overload.governor` — the graceful-degradation controller.
 
-The open-loop load source lives in :mod:`repro.overload.workload`
-(imported on demand; it depends on the runtime facade).  See
+figO's open-loop offered load runs through
+:func:`repro.qos.service.run_qos_service` as one unclassed tenant.  See
 ``docs/overload.md`` for the counter catalogue and the conservation
 identity figO asserts.
 """

@@ -5,16 +5,18 @@ production service instead faces *open-loop* offered load from many
 tenants with different latency needs.  This package turns the runtime
 into such a service:
 
-- :mod:`repro.qos.arrivals` — deterministic Poisson / bursty (MMPP) /
-  diurnal arrival generators on SplitMix64 streams;
+- :mod:`repro.qos.arrivals` — deterministic periodic / Poisson / bursty
+  (MMPP) / diurnal arrival generators on SplitMix64 streams;
 - :mod:`repro.qos.classes` — :class:`QosClass` service tiers and
   :class:`Tenant` traffic sources, with per-tenant ``/qos{tenant#N}``
   counters (arrived/completed/shed, latency quantiles and histogram);
 - :mod:`repro.qos.scheduler` — the Clutch-style
   :class:`QosBucketScheduler` (registered as ``"qos"``): per-class EDF
   root buckets with warp and starvation avoidance;
-- :mod:`repro.qos.service` — :func:`run_qos_service`, driving tenant
-  arrivals through one runtime and accounting every request.
+- :mod:`repro.qos.service` — :func:`run_qos_service`, the one open-loop
+  driver: tenant arrivals through one runtime, every request accounted.
+  figO's offered load is one unclassed tenant (``qos=None``: NORMAL
+  priority, no tag, no ``/qos`` counters).
 
 The figQ experiment (:mod:`repro.experiments.figQ_qos_isolation`) asserts
 the end-to-end property: under 4x offered load with class-aware shedding,
@@ -26,6 +28,7 @@ from repro.qos.arrivals import (
     ArrivalProcess,
     BurstyArrivals,
     DiurnalArrivals,
+    PeriodicArrivals,
     PoissonArrivals,
 )
 from repro.qos.classes import (
@@ -44,6 +47,7 @@ from repro.qos.service import (
 
 __all__ = [
     "ArrivalProcess",
+    "PeriodicArrivals",
     "PoissonArrivals",
     "BurstyArrivals",
     "DiurnalArrivals",

@@ -5,7 +5,11 @@ previous one finished.  A service handling outside traffic is *open-loop*
 — requests arrive on the offered schedule whether or not the system keeps
 up — which is what makes overload possible and tail latency meaningful.
 
-Three generators cover the canonical service traffic shapes:
+Four generators cover the canonical service traffic shapes:
+
+:class:`PeriodicArrivals`
+    A fixed gap and no randomness — figO's offered load, where the gap
+    ``grain / (cores * u)`` offers ``u`` times the machine's capacity.
 
 :class:`PoissonArrivals`
     Memoryless arrivals at a constant mean rate — the M in M/G/k, and the
@@ -37,6 +41,7 @@ from dataclasses import dataclass, replace
 from repro.faults.plan import stream_unit
 
 __all__ = [
+    "PeriodicArrivals",
     "PoissonArrivals",
     "BurstyArrivals",
     "DiurnalArrivals",
@@ -95,6 +100,37 @@ def _monotone(ts: list[float], window_ns: int) -> list[int]:
         out.append(tick)
         last = tick
     return out
+
+
+@dataclass(frozen=True)
+class PeriodicArrivals(ArrivalProcess):
+    """One arrival every ``interarrival_ns``, starting at ``t = 0``.
+
+    Arrival ``k`` lands at ``int(k * interarrival_ns)``: each tick is a
+    product, never a running sum, because summing a fractional gap drifts
+    (at a gap of 1000/24 ns, summing yields one arrival too many in a
+    300 us window).  The seed and tenant id are ignored.
+    """
+
+    interarrival_ns: float
+
+    def __post_init__(self) -> None:
+        # Below 1 ns, int(k * gap) repeats ticks, which are then not
+        # strictly increasing.
+        if self.interarrival_ns < 1:
+            raise ValueError(
+                f"interarrival_ns must be >= 1, got {self.interarrival_ns}"
+            )
+
+    def times(self, seed: int, tenant_id: int, window_ns: int) -> list[int]:
+        del seed, tenant_id
+        _check_window(window_ns)
+        out: list[int] = []
+        k = 0
+        while k < _MAX_ARRIVALS and k * self.interarrival_ns < window_ns:
+            out.append(int(k * self.interarrival_ns))
+            k += 1
+        return out
 
 
 @dataclass(frozen=True)

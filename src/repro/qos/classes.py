@@ -134,13 +134,19 @@ def class_for_priority(
 
 @dataclass(frozen=True)
 class Tenant:
-    """One traffic source: arrivals of a fixed grain under one QoS class."""
+    """One traffic source: arrivals of a fixed grain under one QoS class.
+
+    ``qos=None`` makes the tenant *unclassed*: its tasks run at
+    ``Priority.NORMAL`` with no QoS tag, and it registers no ``/qos``
+    counters, so the governor's high-QoS signal stays 0 (figO's offered
+    load).
+    """
 
     tenant_id: int
     name: str
-    qos: QosClass
+    qos: QosClass | None
     grain_ns: int
-    arrivals: ArrivalProcess | None = None
+    arrivals: ArrivalProcess
 
     def __post_init__(self) -> None:
         if self.tenant_id < 0:

@@ -4,18 +4,21 @@
 :class:`~repro.qos.classes.Tenant` definitions, materializes each tenant's
 deterministic arrival schedule (:mod:`repro.qos.arrivals`), injects every
 request into one shared :class:`~repro.runtime.runtime.Runtime` as an
-open-loop arrival event (the figO idiom: events scheduled on the simulator
-before the run, the dormancy-restart hook reviving workers for late
-arrivals), and classifies every request's outcome per tenant — completed
-with an exact sojourn-time sample, or shed with a typed
-:class:`~repro.overload.errors.TaskShedError`.
+open-loop arrival event (events scheduled on the simulator before the
+run, the dormancy-restart hook reviving workers for late arrivals), and
+classifies every request's outcome per tenant — completed with an exact
+sojourn-time sample, or shed with a typed
+:class:`~repro.overload.errors.TaskShedError`.  It is the repository's
+one open-loop arrival driver: figQ's tenants carry QoS classes, and
+figO's offered load is one unclassed tenant.
 
 Accounting is exposed twice: programmatically as
 :class:`QosServiceOutcome` (per-tenant :class:`TenantStats` plus the
-:class:`RunResult`), and through the runtime's counter registry as
-``/qos{tenant#N}/...`` counters plus the ``/qos/count/high-*`` aggregates
-the overload governor reads.  Conservation holds per tenant by
-construction and is asserted by figQ::
+:class:`RunResult`), and, for classed tenants, through the runtime's
+counter registry as ``/qos{tenant#N}/...`` counters plus the
+``/qos/count/high-*`` aggregates the overload governor reads.
+Conservation holds per tenant by construction and is asserted by figO and
+figQ::
 
     arrived == completed + shed
 """
@@ -34,6 +37,7 @@ from repro.qos.classes import (
 )
 from repro.qos.scheduler import QosBucketScheduler
 from repro.runtime.runtime import Runtime, RuntimeConfig, RunResult
+from repro.runtime.task import Priority
 from repro.runtime.work import FixedWork
 from repro.schedulers.base import SchedulingPolicy
 
@@ -50,9 +54,10 @@ class QosServiceConfig:
     """One service deployment: machine, scheduler, admission, window.
 
     ``scheduler=None`` builds a :class:`QosBucketScheduler` over exactly
-    the classes the tenants use; passing any other policy (or registry
-    name via :class:`RuntimeConfig` semantics) runs the same traffic
-    without QoS-aware scheduling — the figQ ablation baseline.
+    the classes the tenants use (so at least one tenant needs a class);
+    passing any other policy (or registry name via :class:`RuntimeConfig`
+    semantics) runs the same traffic without QoS-aware scheduling — the
+    figQ ablation baseline, and figO's ``"priority-local"``.
     """
 
     platform: str = "haswell"
@@ -89,6 +94,15 @@ class QosServiceOutcome:
             s.arrived == s.completed + s.shed for s in self.stats.values()
         )
 
+    @property
+    def goodput(self) -> float:
+        """Useful work completed per core-nanosecond of the run."""
+        if self.result.execution_time_ns <= 0:
+            return 0.0
+        return self.result.cumulative_exec_ns / (
+            self.result.num_cores * self.result.execution_time_ns
+        )
+
 
 def _resolve_policy(
     config: QosServiceConfig, tenants: tuple[Tenant, ...]
@@ -97,7 +111,8 @@ def _resolve_policy(
         return config.scheduler
     seen: dict[str, object] = {}
     for tenant in tenants:
-        seen.setdefault(tenant.qos.name, tenant.qos)
+        if tenant.qos is not None:
+            seen.setdefault(tenant.qos.name, tenant.qos)
     return QosBucketScheduler(classes=list(seen.values()))  # type: ignore[arg-type]
 
 
@@ -129,11 +144,10 @@ def run_qos_service(
         )
     )
     stats = {t.tenant_id: TenantStats() for t in tenants}
-    for tenant in tenants:
-        register_tenant_counters(rt.registry, tenant, stats[tenant.tenant_id])
-    register_class_counters(
-        rt.registry, [(t, stats[t.tenant_id]) for t in tenants]
-    )
+    classed = [(t, stats[t.tenant_id]) for t in tenants if t.qos is not None]
+    for tenant, tstats in classed:
+        register_tenant_counters(rt.registry, tenant, tstats)
+    register_class_counters(rt.registry, classed)
 
     def arrive(tenant: Tenant, index: int, at_ns: int) -> None:
         tstats = stats[tenant.tenant_id]
@@ -142,7 +156,9 @@ def run_qos_service(
             _unit,
             work=FixedWork(tenant.grain_ns),
             name=f"qos:{tenant.name}#{index}",
-            priority=tenant.qos.priority,
+            priority=(
+                Priority.NORMAL if tenant.qos is None else tenant.qos.priority
+            ),
             qos=tenant.qos,
         )
 

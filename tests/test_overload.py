@@ -37,7 +37,12 @@ from repro.overload.governor import (
     GovernorSignals,
     OverloadGovernor,
 )
-from repro.overload.workload import OfferedLoad, run_offered_load
+from repro.qos import (
+    PeriodicArrivals,
+    QosServiceConfig,
+    Tenant,
+    run_qos_service,
+)
 from repro.runtime.runtime import Runtime, RuntimeConfig
 from repro.runtime.task import Priority, Task
 from repro.runtime.work import FixedWork
@@ -93,69 +98,40 @@ class TestConfigValidation:
 
 
 # ---------------------------------------------------------------------------
-# offered-load arithmetic
-# ---------------------------------------------------------------------------
-
-
-class TestOfferedLoad:
-    def test_count_covers_half_open_window(self):
-        # Arrivals at k * 1000 strictly inside [0, 10000): k = 0..9.
-        load = OfferedLoad(grain_ns=500, interarrival_ns=1000, window_ns=10_000)
-        assert load.count == 10
-
-    def test_count_excludes_the_window_edge(self):
-        load = OfferedLoad(grain_ns=500, interarrival_ns=2500, window_ns=10_000)
-        assert load.count == 4  # 0, 2500, 5000, 7500 — not 10000
-
-    def test_at_utilization_math(self):
-        load = OfferedLoad.at_utilization(
-            2.0, grain_ns=4_000, num_cores=8, window_ns=100_000
-        )
-        # 2x the pure-execution capacity of 8 cores: one arrival per
-        # grain/(cores * u) = 250 ns.
-        assert load.interarrival_ns == pytest.approx(250.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OfferedLoad(grain_ns=0, interarrival_ns=1, window_ns=1)
-        with pytest.raises(ValueError):
-            OfferedLoad.at_utilization(
-                0.0, grain_ns=1000, num_cores=4, window_ns=1000
-            )
-
-
-# ---------------------------------------------------------------------------
 # admission control: overflow-policy semantics end to end
 # ---------------------------------------------------------------------------
 
 BOUND = 32
 
-#: 4x overload on a 4-core machine: arrivals every grain/(4*4) ns
-OVERLOAD = OfferedLoad.at_utilization(
-    4.0, grain_ns=2_000, num_cores=4, window_ns=100_000
-)
 
-
-def _overloaded(policy: str):
-    config = RuntimeConfig(
-        platform="haswell",
-        num_cores=4,
-        overload=OverloadConfig(
-            admission=AdmissionParams(max_depth=BOUND, policy=policy)
+def _overloaded(admission: AdmissionParams):
+    """4x overload on a 4-core machine: one unclassed tenant arriving
+    every grain/(4*4) ns; returns its stats and the run result."""
+    offered = Tenant(0, "offered", None, 2_000, PeriodicArrivals(2_000 / 16))
+    outcome = run_qos_service(
+        [offered],
+        QosServiceConfig(
+            num_cores=4,
+            window_ns=100_000,
+            overload=OverloadConfig(admission=admission),
+            scheduler="priority-local",
         ),
     )
-    return run_offered_load(config, OVERLOAD)
+    return outcome.stats[0], outcome.result
+
+
+def _bounded(policy: str):
+    return _overloaded(AdmissionParams(max_depth=BOUND, policy=policy))
 
 
 class TestAdmissionPolicies:
     def test_shed_conserves_and_bounds(self):
-        outcome = _overloaded("shed")
-        assert outcome.shed > 0
-        assert outcome.offered == outcome.completed + outcome.shed
-        result = outcome.result
+        offered, result = _bounded("shed")
+        assert offered.shed > 0
+        assert offered.arrived == offered.completed + offered.shed
         assert result.peak_queue_depth <= BOUND
-        assert result.tasks_shed == outcome.shed
-        assert result.tasks_offered == outcome.offered
+        assert result.tasks_shed == offered.shed
+        assert result.tasks_offered == offered.arrived
 
     def test_shed_error_names_the_victim_and_the_bound(self):
         config = RuntimeConfig(
@@ -183,20 +159,18 @@ class TestAdmissionPolicies:
             assert err.task_name.startswith("offered#")
 
     def test_block_completes_everything_with_backpressure(self):
-        outcome = _overloaded("block")
-        assert outcome.shed == 0
-        assert outcome.completed == outcome.offered
-        result = outcome.result
+        offered, result = _bounded("block")
+        assert offered.shed == 0
+        assert offered.completed == offered.arrived
         assert result.peak_queue_depth <= BOUND
         assert result.tasks_blocked > 0
         assert result.tasks_readmitted == result.tasks_blocked
         assert result.backpressure_wait_ns > 0
 
     def test_spill_conserves_all_offered_work(self):
-        outcome = _overloaded("spill")
-        assert outcome.shed == 0
-        assert outcome.completed == outcome.offered
-        result = outcome.result
+        offered, result = _bounded("spill")
+        assert offered.shed == 0
+        assert offered.completed == offered.arrived
         assert result.peak_queue_depth <= BOUND
         assert result.tasks_spilled > 0
         assert result.tasks_readmitted == result.tasks_spilled
@@ -204,29 +178,23 @@ class TestAdmissionPolicies:
         assert result.counters.get("/overload/count/spill-depth@gauge") == 0
 
     def test_unbounded_observer_only_measures(self):
-        config = RuntimeConfig(
-            platform="haswell",
-            num_cores=4,
-            overload=OverloadConfig(admission=AdmissionParams()),
-        )
-        outcome = run_offered_load(config, OVERLOAD)
-        assert outcome.shed == 0
-        assert outcome.completed == outcome.offered
-        result = outcome.result
+        offered, result = _overloaded(AdmissionParams())
+        assert offered.shed == 0
+        assert offered.completed == offered.arrived
         # Depth statistics are tracked, and the 4x backlog shows.
         assert result.peak_queue_depth > BOUND
-        assert result.tasks_offered == outcome.offered
+        assert result.tasks_offered == offered.arrived
 
     def test_offered_load_registers_no_qos_counters(self):
         # figO's governor reads its high-QoS signal from these counters;
         # single-class offered load must leave that signal at zero even
         # while it sheds, or the governor would coarsen for the wrong reason.
-        outcome = _overloaded("shed")
-        assert outcome.shed > 0
-        counters = outcome.result.counters
+        offered, result = _bounded("shed")
+        assert offered.shed > 0
+        counters = result.counters
         names = [*counters.values, *counters.average_pairs]
         assert not [n for n in names if n.startswith("/qos")]
-        signals = GovernorSignals.from_run(outcome.result)
+        signals = GovernorSignals.from_run(result)
         assert signals.high_qos_shed_fraction == 0.0
 
 

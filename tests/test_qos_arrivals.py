@@ -2,17 +2,23 @@
 
 import pytest
 
-from repro.qos.arrivals import BurstyArrivals, DiurnalArrivals, PoissonArrivals
+from repro.qos.arrivals import (
+    BurstyArrivals,
+    DiurnalArrivals,
+    PeriodicArrivals,
+    PoissonArrivals,
+)
 from repro.util.stats import mean
 
 WINDOW = 1_000_000  # 1 ms
 GAP = 1_000.0  # mean interarrival: 1 us -> ~1000 arrivals per window
 
-ALL = [
+RANDOM = [
     PoissonArrivals(GAP),
     BurstyArrivals(GAP),
     DiurnalArrivals(GAP),
 ]
+ALL = [*RANDOM, PeriodicArrivals(GAP)]
 
 
 class TestCommonProperties:
@@ -20,7 +26,7 @@ class TestCommonProperties:
     def test_deterministic_for_seed_and_tenant(self, proc):
         assert proc.times(7, 0, WINDOW) == proc.times(7, 0, WINDOW)
 
-    @pytest.mark.parametrize("proc", ALL, ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("proc", RANDOM, ids=lambda p: type(p).__name__)
     def test_seed_and_tenant_change_the_schedule(self, proc):
         base = proc.times(7, 0, WINDOW)
         assert proc.times(8, 0, WINDOW) != base
@@ -79,6 +85,30 @@ class TestValidation:
     def test_diurnal_rejects_bad_period(self):
         with pytest.raises(ValueError):
             DiurnalArrivals(GAP, period_ns=0.0)
+
+
+class TestPeriodicArrivals:
+    def test_count_covers_half_open_window(self):
+        # Arrivals at k * 1000 strictly inside [0, 10000): k = 0..9.
+        assert len(PeriodicArrivals(1000).times(0, 0, 10_000)) == 10
+
+    def test_count_excludes_the_window_edge(self):
+        ts = PeriodicArrivals(2500).times(0, 0, 10_000)
+        assert ts == [0, 2500, 5000, 7500]  # not 10000
+
+    def test_validation(self):
+        for gap in (0, 0.5, -1):
+            with pytest.raises(ValueError):
+                PeriodicArrivals(gap)
+        with pytest.raises(ValueError):
+            PeriodicArrivals(1000).scaled(2000)  # a 0.5 ns gap
+
+    def test_ticks_multiply_rather_than_accumulate(self):
+        # figO's 3x point at 1 us grain on 8 cores: a running sum of this
+        # gap drifts to 7,201 arrivals in 300 us; the product gives 7,200.
+        gap = 1000 / 24
+        ts = PeriodicArrivals(gap).times(0, 0, 300_000)
+        assert ts == [int(k * gap) for k in range(7_200)]
 
 
 class TestShapes:

@@ -6,6 +6,7 @@ from repro.overload.admission import AdmissionParams
 from repro.overload.config import OverloadConfig
 from repro.qos import (
     BurstyArrivals,
+    PeriodicArrivals,
     PoissonArrivals,
     QosServiceConfig,
     Tenant,
@@ -76,6 +77,12 @@ class TestServiceRun:
         with pytest.raises(ValueError):
             QosServiceConfig(num_cores=0)
 
+    def test_tenant_validation(self):
+        with pytest.raises(TypeError):  # arrivals are required
+            Tenant(0, "x", BATCH, 1_000)
+        with pytest.raises(ValueError):
+            Tenant(0, "x", None, 0, PeriodicArrivals(1_000.0))
+
 
 class TestCounterSurface:
     def test_tenant_counters_track_stats(self):
@@ -121,6 +128,20 @@ class TestCounterSurface:
         assert counters.get("/qos/count/high-arrived") == web.arrived
         assert counters.get("/qos/count/high-shed") == web.shed
 
+    def test_unclassed_tenant_registers_no_counters(self):
+        bulk = Tenant(1, "bulk", None, 2_000, PeriodicArrivals(4_000.0))
+        out = run_qos_service(
+            [tenants()[0], bulk], QosServiceConfig(window_ns=100_000)
+        )
+        assert out.conserved()
+        assert out.stats[1].arrived == 25
+        counters = out.result.counters
+        web = out.stats[0].arrived
+        assert counters.get("/qos{tenant#0}/count/arrived") == web
+        assert counters.get("/qos/count/high-arrived") == web
+        bulk_names = [n for n in counters.values if "{tenant#1" in n]
+        assert not bulk_names
+
 
 class TestSchedulerChoice:
     def test_default_policy_is_qos_buckets_over_tenant_classes(self):
@@ -130,6 +151,11 @@ class TestSchedulerChoice:
         policy = _resolve_policy(QosServiceConfig(), tuple(tenants()))
         assert isinstance(policy, QosBucketScheduler)
         assert {c.name for c in policy.classes} == {"interactive", "batch"}
+
+    def test_unclassed_tenants_need_an_explicit_scheduler(self):
+        bulk = Tenant(0, "bulk", None, 2_000, PeriodicArrivals(4_000.0))
+        with pytest.raises(ValueError, match="at least one class"):
+            run_qos_service([bulk], QosServiceConfig())
 
     def test_explicit_baseline_scheduler_is_honoured(self):
         out = run_qos_service(
