@@ -45,6 +45,18 @@ def figure_digest(fig: FigureResult) -> dict:
     }
 
 
+def write_golden(fig: FigureResult, name: str, scale: str) -> None:
+    """Pin ``fig``'s series digest as ``tests/golden/<name>.json``.
+
+    ``scale`` names the scale the owning test runs, e.g. ``"smoke"`` or
+    ``"smoke, points_per_decade=1"``.  Writing a new pin and re-baselining
+    one that a change moves on purpose are both this one call.
+    """
+    pinned = {"figure": name, "scale": scale, **figure_digest(fig)}
+    path = GOLDEN_DIR / f"{name}.json"
+    path.write_text(json.dumps(pinned, indent=2) + "\n")
+
+
 def assert_golden(fig: FigureResult, name: str) -> None:
     """Assert ``fig``'s series digest equals ``tests/golden/<name>.json``."""
     pinned = json.loads((GOLDEN_DIR / f"{name}.json").read_text())

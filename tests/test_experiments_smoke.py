@@ -55,6 +55,7 @@ class TestFigureRunnersSmoke:
             assert labels == {"execution time (s)", "idle-rate"}
             idle = next(s for s in series_list if s.label == "idle-rate")
             assert all(0.0 <= y <= 1.0 for _, y in idle.points)
+        assert_golden(fig, "fig4")
 
     def test_fig6_wait_times_positive_masses(self):
         from repro.experiments import fig6_wait_time as exp
@@ -73,6 +74,7 @@ class TestFigureRunnersSmoke:
             assert {s.label for s in series_list} == {
                 "Exec Time", "HPX-TM", "WT", "HPX-TM & WT",
             }
+        assert_golden(fig, "fig7")
 
     def test_fig9_series_complete(self):
         from repro.experiments import fig9_pending_queue_haswell as exp
@@ -228,6 +230,7 @@ class TestFigTSmoke:
         assert "bit-identical rerun (1 = yes)" in labels
         curves = fig.panels[f"efficiency vs grain ({exp.CORES} cores)"]
         assert {s.label for s in curves} == set(exp.METG_PATTERNS)
+        assert_golden(fig, "figT")
 
 
 class TestFigOSmoke:
