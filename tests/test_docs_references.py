@@ -1,8 +1,10 @@
 """The docs name only code that exists.
 
 Every ``repro.`` dotted name and every ``repro/...py`` path in the user
-docs must resolve by import plus ``getattr``.  CHANGES.md and ROADMAP.md
-are history and may name code that is gone.
+docs must resolve by import plus ``getattr``, and every backticked
+``*.py`` path must name a file under the repo root, ``src/`` or
+``src/repro/``.  CHANGES.md and ROADMAP.md are history and may name code
+that is gone.
 """
 
 import importlib
@@ -24,6 +26,9 @@ DOCS = sorted(
 
 DOTTED = re.compile(r"\brepro(?:\.\w+)+")
 PATH = re.compile(r"\brepro(?:/\w+)+\.py\b")
+FILE = re.compile(r"`([\w./-]+\.py)`")
+#: the directories a doc's file paths are written relative to
+FILE_ROOTS = (ROOT, ROOT / "src", ROOT / "src" / "repro")
 
 
 def _resolves(dotted: str) -> bool:
@@ -50,9 +55,17 @@ def references(text: str) -> set[str]:
     return names
 
 
+def missing_files(text: str) -> list[str]:
+    return sorted(
+        path
+        for path in set(FILE.findall(text))
+        if not any((root / path).is_file() for root in FILE_ROOTS)
+    )
+
+
 @pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(ROOT)))
 def test_docs_name_only_existing_code(doc):
-    missing = sorted(
-        name for name in references(doc.read_text()) if not _resolves(name)
-    )
+    text = doc.read_text()
+    missing = sorted(name for name in references(text) if not _resolves(name))
+    missing += missing_files(text)
     assert not missing, f"{doc.name} names code that does not exist: {missing}"
