@@ -30,13 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.runtime.future import Future, make_ready_future
 from repro.runtime.runtime import RunResult, Runtime, RuntimeConfig
 from repro.runtime.work import StencilWork
+
+if TYPE_CHECKING:
+    from repro.dist.result import DistRunResult
 
 
 @dataclass(frozen=True)
@@ -95,15 +98,29 @@ def initial_condition(total_points: int) -> np.ndarray:
 
 
 def heat_partition(
-    left: np.ndarray, mid: np.ndarray, right: np.ndarray, coefficient: float
+    left: Any, mid: np.ndarray, right: Any, coefficient: float
 ) -> np.ndarray:
     """One explicit heat step on a partition given its ring neighbours.
 
-    Only the last element of ``left`` and the first of ``right`` are read —
-    exactly the data a distributed HPX partition would communicate.
+    Only the last point of ``left`` and the first of ``right`` are read —
+    exactly the halo a distributed HPX partition receives — so each
+    neighbour may be its whole partition or just that edge point.
     """
-    ext = np.concatenate((left[-1:], mid, right[:1]))
+    ext = np.concatenate(
+        (np.atleast_1d(left)[-1:], mid, np.atleast_1d(right)[:1])
+    )
     return mid + coefficient * (ext[:-2] - 2.0 * mid + ext[2:])
+
+
+def initial_partitions(config: StencilConfig) -> list[Any]:
+    """Every partition's step-0 payload: its slice of
+    :func:`initial_condition` with ``validate=True``, else its index as a
+    token standing in for the data."""
+    if not config.validate:
+        return list(range(config.num_partitions))
+    u0 = initial_condition(config.total_points)
+    bounds = np.cumsum([0] + config.partition_sizes())
+    return [u0[bounds[i]:bounds[i + 1]] for i in range(config.num_partitions)]
 
 
 def serial_reference(
@@ -129,19 +146,10 @@ def build_stencil_graph(
     np_count = config.num_partitions
     coeff = config.heat_coefficient
 
-    current: list[Future]
-    if config.validate:
-        u0 = initial_condition(config.total_points)
-        bounds = np.cumsum([0] + sizes)
-        current = [
-            make_ready_future(u0[bounds[i]:bounds[i + 1]], name=f"U[0][{i}]")
-            for i in range(np_count)
-        ]
-    else:
-        # Token payloads: the partition index stands in for the data.
-        current = [
-            make_ready_future(i, name=f"U[0][{i}]") for i in range(np_count)
-        ]
+    current = [
+        make_ready_future(payload, name=f"U[0][{i}]")
+        for i, payload in enumerate(initial_partitions(config))
+    ]
 
     for step in range(1, config.time_steps + 1):
         nxt: list[Future] = []
@@ -171,11 +179,27 @@ def build_stencil_graph(
 
 @dataclass(frozen=True)
 class StencilOutcome:
-    """A finished stencil run: the runtime result plus (optionally) data."""
+    """A finished stencil run, single-node or distributed: the runtime
+    result plus (optionally) data."""
 
-    result: RunResult
+    result: RunResult | DistRunResult
     config: StencilConfig
     final_partitions: list[np.ndarray] | None
+
+    @classmethod
+    def collect(
+        cls,
+        result: RunResult | DistRunResult,
+        config: StencilConfig,
+        finals: list[Future],
+    ) -> StencilOutcome:
+        """The outcome of a run whose last step produced ``finals``."""
+        # Even token runs must have completed every final future.
+        unready = sum(1 for f in finals if not f.is_ready)
+        if unready:
+            raise RuntimeError(f"{unready} final partitions never completed")
+        partitions = [f.value for f in finals] if config.validate else None
+        return cls(result=result, config=config, final_partitions=partitions)
 
     def final_array(self) -> np.ndarray:
         if self.final_partitions is None:
@@ -189,16 +213,7 @@ def run_stencil(
     """Run HPX-Stencil to completion on a fresh simulated runtime."""
     runtime = Runtime(runtime_config)
     finals = build_stencil_graph(runtime, config)
-    result = runtime.run()
-    partitions = None
-    if config.validate:
-        partitions = [f.value for f in finals]
-    else:
-        # Even token runs must have completed every final future.
-        unready = sum(1 for f in finals if not f.is_ready)
-        if unready:
-            raise RuntimeError(f"{unready} final partitions never completed")
-    return StencilOutcome(result=result, config=config, final_partitions=partitions)
+    return StencilOutcome.collect(runtime.run(), config, finals)
 
 
 def stencil_run_fn(

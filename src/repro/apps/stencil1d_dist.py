@@ -15,21 +15,28 @@ edge out of the partition, resolves the *consuming* partition's AGAS gid
 (first send per neighbour misses the cache, later steps hit), and ships the
 parcel; interior dependencies stay plain local futures.
 
-As on a single node, ``validate=True`` runs the real NumPy kernel and must
-match :func:`repro.apps.stencil1d.serial_reference` to machine precision —
-now also proving the halo plumbing moves the right bytes.
+As on a single node, ``validate=True`` runs the same NumPy kernel
+(:func:`repro.apps.stencil1d.heat_partition`, fed the halo's edge point
+in place of a remote neighbour) and must match
+:func:`repro.apps.stencil1d.serial_reference` to machine precision — now
+also proving the halo plumbing moves the right bytes.  Both runs return a
+:class:`repro.apps.stencil1d.StencilOutcome`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.apps.stencil1d import initial_condition
-from repro.dist.runtime import DistConfig, DistRunResult, DistRuntime
+from repro.apps.stencil1d import (
+    StencilConfig,
+    StencilOutcome,
+    heat_partition,
+    initial_partitions,
+)
+from repro.dist.runtime import DistConfig, DistRuntime
 from repro.runtime.future import Future
 from repro.runtime.work import StencilWork
 
@@ -38,15 +45,10 @@ HALO_BYTES = 8
 
 
 @dataclass(frozen=True)
-class DistStencilConfig:
-    """Problem definition; the locality count lives in :class:`DistConfig`."""
+class DistStencilConfig(StencilConfig):
+    """:class:`StencilConfig` plus the partition → locality mapping; the
+    locality count lives in :class:`DistConfig`."""
 
-    total_points: int = 1 << 20
-    partition_points: int = 4096
-    time_steps: int = 10
-    heat_coefficient: float = 0.25
-    #: compute real NumPy partitions and check against the serial reference
-    validate: bool = False
     #: partition → locality mapping: ``"block"`` (contiguous, 2·L halos per
     #: step regardless of grain) or ``"cyclic"`` (round-robin: *every*
     #: adjacent pair of partitions crosses a locality boundary, so the
@@ -55,34 +57,12 @@ class DistStencilConfig:
     decomposition: str = "block"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.decomposition not in ("block", "cyclic"):
             raise ValueError(
                 f"decomposition must be 'block' or 'cyclic', "
                 f"got {self.decomposition!r}"
             )
-        if self.total_points < 1:
-            raise ValueError("total_points must be >= 1")
-        if not 1 <= self.partition_points <= self.total_points:
-            raise ValueError(
-                f"partition_points={self.partition_points} outside "
-                f"1..{self.total_points}"
-            )
-        if self.time_steps < 0:
-            raise ValueError("time_steps must be >= 0")
-        if not 0.0 < self.heat_coefficient <= 0.5:
-            raise ValueError("heat_coefficient must be in (0, 0.5]")
-
-    @property
-    def num_partitions(self) -> int:
-        return math.ceil(self.total_points / self.partition_points)
-
-    def partition_sizes(self) -> list[int]:
-        """Point counts per partition; only the last may be smaller."""
-        sizes = [self.partition_points] * (self.num_partitions - 1)
-        sizes.append(
-            self.total_points - self.partition_points * (self.num_partitions - 1)
-        )
-        return sizes
 
     def owners(self, num_localities: int) -> list[int]:
         """Partition index → owning locality, per ``decomposition``.
@@ -94,10 +74,16 @@ class DistStencilConfig:
         """
         np_count = self.num_partitions
         if np_count < num_localities:
+            # The largest grain p with ceil(total / p) >= L partitions.
+            coarsest = (self.total_points - 1) // (num_localities - 1)
             raise ValueError(
                 f"{np_count} partitions cannot cover {num_localities} "
-                "localities; coarsest usable grain is "
-                f"total_points/num_localities"
+                "localities; "
+                + (
+                    f"coarsest usable grain is partition_points={coarsest}"
+                    if coarsest
+                    else f"even partition_points=1 gives only {np_count}"
+                )
             )
         if self.decomposition == "cyclic":
             return [i % num_localities for i in range(np_count)]
@@ -123,19 +109,6 @@ class DistStencilConfig:
         return 2 * sum(
             1 for i in range(n) if owners[i] != owners[(i + 1) % n]
         )
-
-
-def heat_partition_halo(
-    left_point: float, mid: np.ndarray, right_point: float, coefficient: float
-) -> np.ndarray:
-    """One explicit heat step given the two neighbouring *edge points*.
-
-    Same mathematics as :func:`repro.apps.stencil1d.heat_partition`, with
-    the neighbour data already projected to the halo a distributed
-    partition would receive.
-    """
-    ext = np.concatenate(([left_point], mid, [right_point]))
-    return mid + coefficient * (ext[:-2] - 2.0 * mid + ext[2:])
 
 
 def _left_edge(value: Any) -> Any:
@@ -165,24 +138,10 @@ def build_dist_stencil_graph(
         for i in range(np_count)
     ]
 
-    current: list[Future]
-    if config.validate:
-        u0 = initial_condition(config.total_points)
-        bounds = np.cumsum([0] + sizes)
-        current = [
-            dist.make_ready_future(
-                u0[bounds[i]:bounds[i + 1]],
-                locality=owners[i],
-                name=f"U[0][{i}]",
-            )
-            for i in range(np_count)
-        ]
-    else:
-        # Token payloads: the partition index stands in for the data.
-        current = [
-            dist.make_ready_future(i, locality=owners[i], name=f"U[0][{i}]")
-            for i in range(np_count)
-        ]
+    current = [
+        dist.make_ready_future(payload, locality=owners[i], name=f"U[0][{i}]")
+        for i, payload in enumerate(initial_partitions(config))
+    ]
 
     def halo(source: Future, source_ix: int, consumer_ix: int, edge) -> Future:
         """The dependency partition ``consumer_ix`` takes on ``source``."""
@@ -202,15 +161,11 @@ def build_dist_stencil_graph(
         )
 
     if config.validate:
-        def make_body(i: int):
-            def body(left: Any, mid: np.ndarray, right: Any) -> np.ndarray:
-                return heat_partition_halo(
-                    _right_edge(left), mid, _left_edge(right), coeff
-                )
-            return body
+        def body(left: Any, mid: np.ndarray, right: Any) -> np.ndarray:
+            return heat_partition(left, mid, right, coeff)
     else:
-        def make_body(i: int):
-            return lambda _left, mid, _right: mid
+        def body(_left: Any, mid: Any, _right: Any) -> Any:
+            return mid
 
     for step in range(1, config.time_steps + 1):
         nxt: list[Future] = []
@@ -224,7 +179,7 @@ def build_dist_stencil_graph(
             ]
             nxt.append(
                 dist.dataflow(
-                    make_body(i),
+                    body,
                     deps,
                     locality=owners[i],
                     work=StencilWork(points=sizes[i]),
@@ -235,23 +190,9 @@ def build_dist_stencil_graph(
     return current
 
 
-@dataclass(frozen=True)
-class DistStencilOutcome:
-    """A finished distributed run plus (optionally) the computed data."""
-
-    result: DistRunResult
-    config: DistStencilConfig
-    final_partitions: list[np.ndarray] | None
-
-    def final_array(self) -> np.ndarray:
-        if self.final_partitions is None:
-            raise ValueError("run with validate=True to collect data")
-        return np.concatenate(self.final_partitions)
-
-
 def run_dist_stencil(
     dist_config: DistConfig, config: DistStencilConfig
-) -> DistStencilOutcome:
+) -> StencilOutcome:
     """Run the distributed stencil on a fresh :class:`DistRuntime`."""
     dist = DistRuntime(dist_config)
     finals = build_dist_stencil_graph(dist, config)
@@ -259,10 +200,4 @@ def run_dist_stencil(
     # from an exhausted halo, LocalityCrashError for a dead producer, the
     # original exception from a failing task body) instead of hanging or
     # silently returning partial results.
-    result = dist.wait(finals)
-    partitions = None
-    if config.validate:
-        partitions = [f.value for f in finals]
-    return DistStencilOutcome(
-        result=result, config=config, final_partitions=partitions
-    )
+    return StencilOutcome.collect(dist.wait(finals), config, finals)

@@ -1,5 +1,7 @@
 """Tests for the distributed stencil (repro.apps.stencil1d_dist)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,22 @@ class TestDecomposition:
         )
         with pytest.raises(ValueError, match="localities"):
             config.owners(2)
+
+    def test_rejection_names_the_coarsest_usable_grain(self):
+        config = DistStencilConfig(
+            total_points=1000, partition_points=600, time_steps=1
+        )
+        with pytest.raises(ValueError, match="partition_points=333$"):
+            config.owners(4)
+        # 333 points per partition still give 4 partitions; 334 give 3.
+        assert sorted(set(replace(config, partition_points=333).owners(4))) == [
+            0, 1, 2, 3,
+        ]
+        with pytest.raises(ValueError, match="partition_points=333$"):
+            replace(config, partition_points=334).owners(4)
+        few = DistStencilConfig(total_points=3, partition_points=1, time_steps=1)
+        with pytest.raises(ValueError, match="partition_points=1 gives only 3"):
+            few.owners(4)
 
     def test_cross_halos_per_step(self):
         config = DistStencilConfig(
