@@ -27,12 +27,12 @@ pattern.  Shape checks assert the claims instead of eyeballing them:
 
 from __future__ import annotations
 
-from repro.core.characterize import characterize
+from repro.core.characterize import characterize, default_partition_sweep
 from repro.core.selection import select_by_idle_rate
 from repro.experiments.config import Scale
 from repro.experiments.report import FigureResult, Series
 from repro.taskbench.driver import taskbench_run_fn
-from repro.taskbench.metg import default_grain_sweep, metg
+from repro.taskbench.metg import metg
 from repro.taskbench.patterns import TaskBenchSpec
 
 FIGURE_ID = "figT"
@@ -73,7 +73,9 @@ def grain_sweep(scale: Scale) -> list[int]:
     """200 ns .. 100 us: brackets the Haswell overhead wall (~1-2 us) from
     both sides with room for the idle-rate rule to clear 30 %."""
     per_decade = 2 if scale.name == "smoke" else max(3, scale.points_per_decade)
-    return default_grain_sweep(per_decade=per_decade)
+    return default_partition_sweep(
+        100_000, finest=200, points_per_decade=per_decade
+    )
 
 
 def _spec(pattern: str, scale: Scale) -> TaskBenchSpec:

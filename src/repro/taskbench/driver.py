@@ -27,7 +27,7 @@ idle-rate threshold) applies to any Task Bench pattern unchanged.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.dist.runtime import DistConfig, DistRunResult, DistRuntime
 from repro.runtime.future import Future
@@ -38,12 +38,11 @@ from repro.taskbench.patterns import TaskBenchSpec
 #: column -> locality maps for the distributed lowering
 PLACEMENTS = ("block", "cyclic")
 
+#: ``(step, index) -> (body, name, extra submission keywords)`` of one task
+TaskFn = Callable[[int, int], tuple[Callable[..., Any], str, dict[str, Any]]]
 
-def _unit() -> int:
-    return 1
 
-
-def _unit_of(*_values: int) -> int:
+def _unit(*_values: int) -> int:
     return 1
 
 
@@ -75,35 +74,40 @@ def build_taskbench_graph(
     spec: TaskBenchSpec,
     *,
     placement: Callable[[int], int] | None = None,
+    task: TaskFn | None = None,
 ) -> list[Future]:
     """Futurize the whole grid on ``rt``; returns all ``width x steps``
     futures in ``(step, index)`` order.
 
     ``placement`` (distributed runtimes only) maps a column to its home
     locality; edges between differently-placed columns become parcels via
-    the runtime's own dependency localization.
+    the runtime's own dependency localization.  ``task`` gives each task's
+    body, name and extra submission keywords (``priority``, ``qos``); by
+    default every task computes the literal 1 under the pattern's name.
     """
-    pattern = spec.resolve_pattern()
+    if task is None:
+        pattern_name = spec.pattern_name
+
+        def task(step: int, i: int):
+            return _unit, f"{pattern_name}[{step}][{i}]", {}
+
     kernel = spec.kernel
     futures: list[Future] = []
     prev: list[Future] = []
     for step in range(spec.steps):
         cur: list[Future] = []
         for i in range(spec.width):
-            kwargs = {} if placement is None else {"locality": placement(i)}
+            body, name, kwargs = task(step, i)
+            if placement is not None:
+                kwargs = {**kwargs, "locality": placement(i)}
             work = kernel.work_for(step, i, spec.seed)
-            name = f"{pattern.name}[{step}][{i}]"
             deps = spec.dependencies(step, i)
             if deps:
                 f = rt.dataflow(
-                    _unit_of,
-                    [prev[j] for j in deps],
-                    work=work,
-                    name=name,
-                    **kwargs,
+                    body, [prev[j] for j in deps], work=work, name=name, **kwargs
                 )
             else:
-                f = rt.async_(_unit, work=work, name=name, **kwargs)
+                f = rt.async_(body, work=work, name=name, **kwargs)
             cur.append(f)
         futures.extend(cur)
         prev = cur

@@ -19,34 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
+from repro.core.characterize import default_partition_sweep
 from repro.dist.runtime import DistConfig
 from repro.runtime.runtime import RuntimeConfig
 from repro.taskbench.driver import run_taskbench, run_taskbench_dist
 from repro.taskbench.patterns import TaskBenchSpec
 
 
-def default_grain_sweep(
-    finest: int = 200, coarsest: int = 100_000, per_decade: int = 3
-) -> list[int]:
-    """Geometric grain grid (ns or points, per the kernel) for the sweep."""
-    if not 1 <= finest <= coarsest:
-        raise ValueError(f"need 1 <= finest <= coarsest, got {finest}..{coarsest}")
-    if per_decade < 1:
-        raise ValueError("per_decade must be >= 1")
-    if finest == coarsest:
-        return [finest]
-    ratio = 10.0 ** (1.0 / per_decade)
-    sweep: list[int] = []
-    value = float(finest)
-    while value < coarsest:
-        grain = int(round(value))
-        if not sweep or grain > sweep[-1]:
-            sweep.append(grain)
-        value *= ratio
-    if sweep[-1] != coarsest:
-        sweep.append(coarsest)
-    return sweep
+#: the default sweep (ns or points, per the kernel): 200 .. 100,000 at
+#: three grains per decade
+DEFAULT_GRAINS = tuple(
+    default_partition_sweep(100_000, finest=200, points_per_decade=3)
+)
 
 
 @dataclass(frozen=True)
@@ -150,13 +136,11 @@ def measure_efficiency(
 
 def efficiency_curve(
     spec: TaskBenchSpec,
-    grains: list[int] | None = None,
+    grains: Sequence[int] = DEFAULT_GRAINS,
     **kwargs,
 ) -> list[EfficiencyPoint]:
     """Measure efficiency over a grain sweep (see :func:`measure_efficiency`
     for the keyword knobs)."""
-    if grains is None:
-        grains = default_grain_sweep()
     return [measure_efficiency(spec, g, **kwargs) for g in grains]
 
 
@@ -176,7 +160,7 @@ def metg(
     spec: TaskBenchSpec,
     *,
     target: float = 0.5,
-    grains: list[int] | None = None,
+    grains: Sequence[int] = DEFAULT_GRAINS,
     rel_tol: float = 0.02,
     platform: str = "haswell",
     num_cores: int = 8,
@@ -196,8 +180,6 @@ def metg(
         raise ValueError(f"target must be in (0, 1), got {target}")
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
-    if grains is None:
-        grains = default_grain_sweep()
     kwargs = dict(
         platform=platform,
         num_cores=num_cores,

@@ -1,10 +1,10 @@
 """The differential harness: one spec, every backend, one verdict.
 
-A :class:`WorkloadSpec` is lowered onto each runtime exactly the way the
-Task Bench driver lowers its grids — same ``dataflow``/``async_`` calls,
-same work descriptors — except that instead of computing the literal ``1``
-every task computes a **structural hash** of its own position and its
-parents' values::
+A :class:`WorkloadSpec` is lowered onto each runtime by the Task Bench
+driver's own :func:`repro.taskbench.driver.build_taskbench_graph`, one
+grid per phase, except that instead of computing the literal ``1`` every
+task computes a **structural hash** of its own position and its parents'
+values::
 
     value(step, i) = stream_u64(seed, ROLE, phase, step, i, *parent_values)
 
@@ -68,7 +68,7 @@ from repro.recovery import RecoveryConfig
 from repro.runtime.runtime import RunResult, Runtime, RuntimeConfig
 from repro.runtime.task import Priority
 from repro.runtime.thread_executor import ThreadRuntime
-from repro.taskbench.driver import make_placement
+from repro.taskbench.driver import build_taskbench_graph, make_placement
 from repro.verify.invariants import (
     ANALYSIS_CLEAN,
     BACKENDS_AGREE,
@@ -149,37 +149,35 @@ def _make_body(seed: int, phase: int, step: int, index: int):
     return body
 
 
+def _phase_task(spec: WorkloadSpec, phase: int, pattern_name: str, qos_classes):
+    """Phase ``phase``'s per-task hook for :func:`build_taskbench_graph`:
+    the position-keyed hash body, a phase-qualified name, and the task's
+    drawn priority and QoS class when the spec uses them."""
+
+    def task(step: int, i: int):
+        kwargs = {}
+        if spec.use_priorities:
+            kwargs["priority"] = _task_priority(spec.seed, phase, step, i)
+        if qos_classes is not None:
+            kwargs["qos"] = _task_qos(spec, qos_classes, phase, step, i)
+        body = _make_body(spec.seed, phase, step, i)
+        return body, f"verify:{pattern_name}[{phase}][{step}][{i}]", kwargs
+
+    return task
+
+
 def build_verify_graph(rt, spec: WorkloadSpec, *, placement=None):
-    """Lower ``spec`` onto any runtime; returns ``[(phase, step, index,
-    future), ...]`` so the fold knows each future's grid position."""
+    """Lower ``spec`` onto any runtime, each phase one Task Bench grid;
+    returns ``[(phase, step, index, future), ...]`` so the fold knows each
+    future's grid position."""
     entries = []
     qos_classes = qos_classes_for(spec) if spec.use_qos else None
     for phase, tb in enumerate(spec.taskbench_specs()):
-        prev = []
-        for step in range(tb.steps):
-            cur = []
-            for i in range(tb.width):
-                kwargs = {}
-                if placement is not None:
-                    kwargs["locality"] = placement(i)
-                if spec.use_priorities:
-                    kwargs["priority"] = _task_priority(spec.seed, phase, step, i)
-                if qos_classes is not None:
-                    kwargs["qos"] = _task_qos(spec, qos_classes, phase, step, i)
-                body = _make_body(spec.seed, phase, step, i)
-                work = tb.kernel.work_for(step, i, tb.seed)
-                name = f"verify:{tb.pattern_name}[{phase}][{step}][{i}]"
-                deps = tb.dependencies(step, i)
-                if deps:
-                    f = rt.dataflow(
-                        body, [prev[j] for j in deps],
-                        work=work, name=name, **kwargs,
-                    )
-                else:
-                    f = rt.async_(body, work=work, name=name, **kwargs)
-                cur.append(f)
-                entries.append((phase, step, i, f))
-            prev = cur
+        task = _phase_task(spec, phase, tb.pattern_name, qos_classes)
+        futures = build_taskbench_graph(rt, tb, placement=placement, task=task)
+        entries += [
+            (phase, *divmod(k, tb.width), f) for k, f in enumerate(futures)
+        ]
     return entries
 
 
@@ -281,15 +279,32 @@ def _dist_config(spec: WorkloadSpec, num_localities: int) -> DistConfig:
     )
 
 
-def run_dist(spec: WorkloadSpec, num_localities: int):
-    dist = DistRuntime(_dist_config(spec, num_localities))
-    placement = make_placement(spec.placement, spec.width, num_localities)
+def _run_dist(spec: WorkloadSpec, config: DistConfig, backend: str):
+    """Build ``spec`` on a fresh :class:`DistRuntime`, wait for every task
+    and fold the result.
+
+    With crash recovery armed, ``tasks_executed`` is the *application*
+    completion count (checkpoint ticks and replacement double-completions
+    netted out), so PF402 holds on exactly the spec's tasks.
+    """
+    dist = DistRuntime(config)
+    placement = make_placement(
+        spec.placement, spec.width, config.num_localities
+    )
     entries = build_verify_graph(dist, spec, placement=placement)
     result = dist.wait([f for _, _, _, f in entries])
-    structural = _fold(
-        spec, f"dist@{num_localities}", entries, result.tasks_executed
+    completed = (
+        result.tasks_executed
+        if config.crash_recovery is None
+        else result.app_tasks_completed
     )
-    return structural, result
+    return _fold(spec, backend, entries, completed), result
+
+
+def run_dist(spec: WorkloadSpec, num_localities: int):
+    return _run_dist(
+        spec, _dist_config(spec, num_localities), f"dist@{num_localities}"
+    )
 
 
 def run_dist_crash(spec: WorkloadSpec, crash_at_ns: int):
@@ -297,10 +312,6 @@ def run_dist_crash(spec: WorkloadSpec, crash_at_ns: int):
     with crash recovery armed; the survivors must detect it, restore the
     checkpointed results, and re-execute the lost lineage — producing the
     spec's exact structural answer.
-
-    ``tasks_executed`` is the *application* completion count (checkpoint
-    ticks and replacement double-completions netted out), so PF402 holds
-    on exactly the spec's tasks.
     """
     n = spec.num_localities
     config = DistConfig(
@@ -321,14 +332,7 @@ def run_dist_crash(spec: WorkloadSpec, crash_at_ns: int):
         # cadence or the restore path would never see a durable entry
         crash_recovery=RecoveryConfig(checkpoint_interval_ns=100_000),
     )
-    dist = DistRuntime(config)
-    placement = make_placement(spec.placement, spec.width, n)
-    entries = build_verify_graph(dist, spec, placement=placement)
-    result = dist.wait([f for _, _, _, f in entries])
-    structural = _fold(
-        spec, f"dist@{n}-crash", entries, result.app_tasks_completed
-    )
-    return structural, result
+    return _run_dist(spec, config, f"dist@{n}-crash")
 
 
 def run_dist_tail(spec: WorkloadSpec):
@@ -342,8 +346,7 @@ def run_dist_tail(spec: WorkloadSpec):
     tasks onto healthy survivors.  First-completion-wins must leave the
     structural fingerprint exact (a winning clone computes the same pure
     value), the application task count conserved, and the PF410 ledger
-    balanced; ``tasks_executed`` is the application completion count, as
-    on the recovery leg.
+    balanced.
     """
     from repro.tail import TailConfig
 
@@ -367,14 +370,7 @@ def run_dist_tail(spec: WorkloadSpec):
         # aggressively so the machinery actually engages at this scale
         tail=TailConfig(check_interval_ns=25_000, hedge_min_delay_ns=5_000),
     )
-    dist = DistRuntime(config)
-    placement = make_placement(spec.placement, spec.width, n)
-    entries = build_verify_graph(dist, spec, placement=placement)
-    result = dist.wait([f for _, _, _, f in entries])
-    structural = _fold(
-        spec, f"dist@{n}-tail", entries, result.app_tasks_completed
-    )
-    return structural, result
+    return _run_dist(spec, config, f"dist@{n}-tail")
 
 
 def run_rt(spec: WorkloadSpec):

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.core.characterize import default_partition_sweep
 from repro.taskbench.metg import (
+    DEFAULT_GRAINS,
     EfficiencyPoint,
     MetgResult,
-    default_grain_sweep,
     efficiency_curve,
     measure_efficiency,
     metg,
@@ -17,8 +18,10 @@ KW = dict(platform="haswell", num_cores=4, scheduler="priority-local", seed=0)
 
 
 class TestGrainSweep:
+    """METG's default sweep is :func:`default_partition_sweep`'s grid."""
+
     def test_strictly_increasing_with_endpoints(self):
-        sweep = default_grain_sweep(200, 100_000, per_decade=3)
+        sweep = DEFAULT_GRAINS
         assert sweep[0] == 200
         assert sweep[-1] == 100_000
         assert all(a < b for a, b in zip(sweep, sweep[1:]))
@@ -26,15 +29,15 @@ class TestGrainSweep:
         assert 8 <= len(sweep) <= 10
 
     def test_degenerate_single_point(self):
-        assert default_grain_sweep(500, 500) == [500]
+        assert default_partition_sweep(500, finest=500) == [500]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="finest"):
-            default_grain_sweep(0, 100)
+            default_partition_sweep(100, finest=0)
         with pytest.raises(ValueError, match="finest"):
-            default_grain_sweep(200, 100)
+            default_partition_sweep(100, finest=200)
         with pytest.raises(ValueError, match="per_decade"):
-            default_grain_sweep(200, 2_000, per_decade=0)
+            default_partition_sweep(2_000, finest=200, points_per_decade=0)
 
 
 class TestEfficiencyCurve:
@@ -74,7 +77,7 @@ class TestMetg:
         assert result.curve[0].grain <= result.interpolated_grain
         assert result.interpolated_grain <= result.grain
         # bisection refined beyond the coarse sweep
-        assert len(result.curve) > len(default_grain_sweep())
+        assert len(result.curve) > len(DEFAULT_GRAINS)
 
     def test_target_never_reached(self):
         result = metg(SPEC, target=0.9, grains=[200, 400], **KW)
