@@ -1,4 +1,5 @@
-"""Shared implementation of Figs. 7 and 8 (overhead decomposition).
+"""Paper claims, series and shape checks of Figs. 7 and 8 (overhead
+decomposition).
 
 Paper (Sec. IV-B, IV-D): the HPX-thread-management overhead (Eq. 4) "is high
 for very fine- and coarse-grained tasks"; in the centre it is flat and the
@@ -15,9 +16,8 @@ paper's stacked figures do.
 
 from __future__ import annotations
 
-from repro.experiments.config import Scale
-from repro.experiments.harness import check_negative_tail, check_tracks, stencil_report
-from repro.experiments.report import FigureResult, Series
+from repro.experiments.harness import check_negative_tail, check_tracks
+from repro.experiments.report import FigureResult
 
 PAPER_CLAIMS = [
     "thread-management overhead is high at the fine and coarse extremes and "
@@ -30,34 +30,14 @@ PAPER_CLAIMS = [
 ]
 
 
-def run_decomposition_figure(
-    scale: Scale,
-    platform: str,
-    cores: tuple[int, ...],
-    figure_id: str,
-    title: str,
-) -> FigureResult:
-    fig = FigureResult(
-        figure_id=figure_id,
-        title=title,
-        xlabel="partition size (grid points)",
-        ylabel="seconds",
-    )
-    fig.notes.append(f"scale={scale.name}; platform={platform}")
-    for nc in cores:
-        report = stencil_report(
-            scale, platform, nc, measure_single_core_reference=True
-        )
-        panel = f"{platform} {nc} cores"
-        fig.add_series(
-            panel, Series("Exec Time", report.series("execution_time_s"))
-        )
-        fig.add_series(panel, Series("HPX-TM", report.series("tm_per_core_s")))
-        fig.add_series(panel, Series("WT", report.series("wait_per_core_s")))
-        fig.add_series(
-            panel, Series("HPX-TM & WT", report.series("combined_cost_s"))
-        )
-    return fig
+YLABEL = "seconds"
+#: the wait-time series need the single-core reference t_d1
+SERIES = (
+    ("Exec Time", "execution_time_s"),
+    ("HPX-TM", "tm_per_core_s"),
+    ("WT", "wait_per_core_s"),
+    ("HPX-TM & WT", "combined_cost_s"),
+)
 
 
 def decomposition_shape_checks(fig: FigureResult) -> list[str]:

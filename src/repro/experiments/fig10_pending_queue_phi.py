@@ -6,10 +6,12 @@ See :mod:`repro.experiments.pending_queue_common` for the paper context.
 from __future__ import annotations
 
 from repro.experiments.config import Scale
+from repro.experiments.harness import run_panel_figure
 from repro.experiments.pending_queue_common import (
     PAPER_CLAIMS,
+    SERIES,
+    YLABEL,
     pending_queue_shape_checks,
-    run_pending_queue_figure,
 )
 from repro.experiments.report import FigureResult
 
@@ -21,7 +23,9 @@ __all__ = ["FIGURE_ID", "TITLE", "PAPER_CLAIMS", "run", "shape_checks"]
 
 
 def run(scale: Scale) -> FigureResult:
-    return run_pending_queue_figure(scale, "xeon-phi", CORES, FIGURE_ID, TITLE)
+    return run_panel_figure(
+        scale, "xeon-phi", CORES, FIGURE_ID, TITLE, YLABEL, SERIES
+    )
 
 
 def shape_checks(fig: FigureResult) -> list[str]:

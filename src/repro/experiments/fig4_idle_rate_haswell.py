@@ -6,11 +6,13 @@ See :mod:`repro.experiments.idle_rate_common` for the paper context.
 from __future__ import annotations
 
 from repro.experiments.config import Scale
+from repro.experiments.harness import run_panel_figure
 from repro.experiments.idle_rate_common import (
     FIG4_CORES,
     PAPER_CLAIMS_FIG4,
+    SERIES,
+    YLABEL,
     idle_rate_shape_checks,
-    run_idle_rate_figure,
 )
 from repro.experiments.report import FigureResult
 
@@ -20,7 +22,9 @@ PAPER_CLAIMS = PAPER_CLAIMS_FIG4
 
 
 def run(scale: Scale) -> FigureResult:
-    return run_idle_rate_figure(scale, "haswell", FIG4_CORES, FIGURE_ID, TITLE)
+    return run_panel_figure(
+        scale, "haswell", FIG4_CORES, FIGURE_ID, TITLE, YLABEL, SERIES
+    )
 
 
 def shape_checks(fig: FigureResult) -> list[str]:

@@ -8,9 +8,11 @@ from __future__ import annotations
 from repro.experiments.config import Scale
 from repro.experiments.decomposition_common import (
     PAPER_CLAIMS,
+    SERIES,
+    YLABEL,
     decomposition_shape_checks,
-    run_decomposition_figure,
 )
+from repro.experiments.harness import run_panel_figure
 from repro.experiments.report import FigureResult
 
 FIGURE_ID = "fig7"
@@ -21,7 +23,10 @@ __all__ = ["FIGURE_ID", "TITLE", "PAPER_CLAIMS", "run", "shape_checks"]
 
 
 def run(scale: Scale) -> FigureResult:
-    return run_decomposition_figure(scale, "haswell", CORES, FIGURE_ID, TITLE)
+    return run_panel_figure(
+        scale, "haswell", CORES, FIGURE_ID, TITLE, YLABEL, SERIES,
+        single_core_reference=True,
+    )
 
 
 def shape_checks(fig: FigureResult) -> list[str]:

@@ -4,7 +4,8 @@ Every figure is some projection of the same underlying experiment — the
 paper's Sec. II methodology: HPX-Stencil over a grain-size sweep at several
 core counts.  :func:`stencil_report` runs one (platform, cores) cell and
 returns the :class:`CharacterizationReport`; figure modules project the
-quantities they plot out of it.
+quantities they plot out of it, and :func:`run_panel_figure` is that
+projection for the per-core panels of Figs. 4/5, 7/8 and 9/10.
 
 Shape-checking helpers encode the qualitative claims ("U-shaped", "rises at
 the fine end", ...) that EXPERIMENTS.md verifies; they return human-readable
@@ -13,6 +14,8 @@ violation strings instead of raising so a report can list every miss.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.characterize import (
     CharacterizationReport,
     characterize,
@@ -20,6 +23,7 @@ from repro.core.characterize import (
 )
 from repro.apps.stencil1d import stencil_run_fn
 from repro.experiments.config import Scale
+from repro.experiments.report import FigureResult, Series
 
 
 def sweep_for(scale: Scale, total_points: int | None = None) -> list[int]:
@@ -56,6 +60,39 @@ def stencil_report(
         seed=seed,
         measure_single_core_reference=measure_single_core_reference,
     )
+
+
+def run_panel_figure(
+    scale: Scale,
+    platform: str,
+    cores: tuple[int, ...],
+    figure_id: str,
+    title: str,
+    ylabel: str,
+    series: Sequence[tuple[str, str]],
+    *,
+    single_core_reference: bool = False,
+) -> FigureResult:
+    """One panel per core count, plotting each ``(label, quantity)`` of
+    ``series`` from that count's :func:`stencil_report` against partition
+    size.  ``single_core_reference`` measures ``t_d1``, which the
+    wait-time quantities need."""
+    fig = FigureResult(
+        figure_id=figure_id,
+        title=title,
+        xlabel="partition size (grid points)",
+        ylabel=ylabel,
+    )
+    fig.notes.append(f"scale={scale.name}; platform={platform}")
+    for nc in cores:
+        report = stencil_report(
+            scale, platform, nc,
+            measure_single_core_reference=single_core_reference,
+        )
+        panel = f"{platform} {nc} cores"
+        for label, quantity in series:
+            fig.add_series(panel, Series(label, report.series(quantity)))
+    return fig
 
 
 # -- qualitative shape checks -----------------------------------------------------

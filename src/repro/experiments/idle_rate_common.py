@@ -1,4 +1,5 @@
-"""Shared implementation of Figs. 4 and 5 (idle-rate vs. grain size).
+"""Paper claims, series and shape checks of Figs. 4 and 5 (idle-rate vs.
+grain size).
 
 Paper (Sec. IV-A): "For very fine-grained tasks (small partition sizes)
 there are a large number of tasks to manage, and the task management is a
@@ -15,9 +16,7 @@ Each panel carries two series: execution time (seconds) and idle-rate (0-1).
 
 from __future__ import annotations
 
-from repro.experiments.config import Scale
-from repro.experiments.harness import stencil_report
-from repro.experiments.report import FigureResult, Series
+from repro.experiments.report import FigureResult
 
 FIG4_CORES = (8, 16, 28)
 FIG5_CORES = (16, 32, 60)
@@ -35,29 +34,14 @@ PAPER_CLAIMS_FIG4 = [
 PAPER_CLAIMS_FIG5 = PAPER_CLAIMS_FIG4[:3]
 
 
-def _run(
-    scale: Scale, platform: str, cores: tuple[int, ...], figure_id: str, title: str
-) -> FigureResult:
-    fig = FigureResult(
-        figure_id=figure_id,
-        title=title,
-        xlabel="partition size (grid points)",
-        ylabel="execution time (s) / idle-rate",
-    )
-    fig.notes.append(f"scale={scale.name}; platform={platform}")
-    for nc in cores:
-        report = stencil_report(
-            scale, platform, nc, measure_single_core_reference=False
-        )
-        panel = f"{platform} {nc} cores"
-        fig.add_series(
-            panel, Series("execution time (s)", report.series("execution_time_s"))
-        )
-        fig.add_series(panel, Series("idle-rate", report.series("idle_rate")))
-    return fig
+YLABEL = "execution time (s) / idle-rate"
+SERIES = (
+    ("execution time (s)", "execution_time_s"),
+    ("idle-rate", "idle_rate"),
+)
 
 
-def _shape_checks(
+def idle_rate_shape_checks(
     fig: FigureResult, fine_floor: float, decoupled_cores: tuple[int, ...]
 ) -> list[str]:
     problems: list[str] = []
@@ -100,7 +84,3 @@ def _shape_checks(
             "wait-time metric)"
         )
     return problems
-
-
-run_idle_rate_figure = _run
-idle_rate_shape_checks = _shape_checks

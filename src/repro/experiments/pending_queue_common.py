@@ -1,4 +1,5 @@
-"""Shared implementation of Figs. 9 and 10 (pending-queue accesses).
+"""Paper claims, series and shape checks of Figs. 9 and 10 (pending-queue
+accesses).
 
 Paper (Sec. IV-E): "Measuring the number of accesses to the pending queues
 gives an indication of the amount of activity involving the thread
@@ -12,9 +13,8 @@ paper scale; raw counts here) against partition size.
 
 from __future__ import annotations
 
-from repro.experiments.config import Scale
-from repro.experiments.harness import check_u_shape, stencil_report
-from repro.experiments.report import FigureResult, Series
+from repro.experiments.harness import check_u_shape
+from repro.experiments.report import FigureResult
 
 PAPER_CLAIMS = [
     "pending-queue accesses are very high at fine grain (many tasks), "
@@ -26,32 +26,11 @@ PAPER_CLAIMS = [
 ]
 
 
-def run_pending_queue_figure(
-    scale: Scale,
-    platform: str,
-    cores: tuple[int, ...],
-    figure_id: str,
-    title: str,
-) -> FigureResult:
-    fig = FigureResult(
-        figure_id=figure_id,
-        title=title,
-        xlabel="partition size (grid points)",
-        ylabel="execution time (s) / pending-queue accesses",
-    )
-    fig.notes.append(f"scale={scale.name}; platform={platform}")
-    for nc in cores:
-        report = stencil_report(
-            scale, platform, nc, measure_single_core_reference=False
-        )
-        panel = f"{platform} {nc} cores"
-        fig.add_series(
-            panel, Series("execution time (s)", report.series("execution_time_s"))
-        )
-        fig.add_series(
-            panel, Series("pending-Q accesses", report.series("pending_accesses"))
-        )
-    return fig
+YLABEL = "execution time (s) / pending-queue accesses"
+SERIES = (
+    ("execution time (s)", "execution_time_s"),
+    ("pending-Q accesses", "pending_accesses"),
+)
 
 
 def pending_queue_shape_checks(fig: FigureResult) -> list[str]:
