@@ -81,7 +81,6 @@ class DistConfig:
     seed: int = 0
     #: the transport model; None means the default commodity interconnect
     network: NetworkModel | None = None
-    agas: AgasParams | None = None
     timer_counters: bool = True
     #: per-task management overhead grows with the locality count: every
     #: thread created in a distributed run additionally touches AGAS credit
@@ -258,7 +257,6 @@ class DistRuntime:
         #: the distributed (cross-locality) counter registry
         self.registry = CounterRegistry()
         self._finish_ns: int | None = None
-        agas_params = config.agas if config.agas is not None else AgasParams()
         spec = config.resolve_platform()
         #: the fault layer; None whenever the plan cannot perturb the run,
         #: so FaultPlan.none() takes the exact legacy code path
@@ -314,7 +312,7 @@ class DistRuntime:
                 seed=config.seed,
                 dead_letter_capacity=config.dead_letter_capacity,
             )
-            cache = AgasCache(self.agas, i, self.registry, agas_params)
+            cache = AgasCache(self.agas, i, self.registry, AgasParams())
             self.localities.append(Locality(i, runtime, port, cache))
             self._mirror_thread_counters(i, runtime)
         ports = {loc.index: loc.parcelport for loc in self.localities}

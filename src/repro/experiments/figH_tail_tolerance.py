@@ -239,15 +239,6 @@ def _check_cell(
                 f"{result.hedges_armed} hedges armed)"
             )
         return
-    # Work amplification ≤ budget: the PF410 budget term, per cell.
-    if result.speculation_budget > 0 and (
-        result.tasks_speculated > result.speculation_budget
-    ):
-        problems.append(
-            f"{FIGURE_ID}: {label}: {result.tasks_speculated} tasks "
-            f"speculated exceeds the budget {result.speculation_budget} "
-            f"(max_speculation_frac={TAIL.max_speculation_frac:g})"
-        )
     if severity > 1.0 and result.degraded_events == 0:
         problems.append(
             f"{FIGURE_ID}: {label}: a {severity:g}x straggler was never "
