@@ -142,25 +142,21 @@ def _task_qos(spec: WorkloadSpec, classes, phase: int, step: int, index: int):
     ]
 
 
-def _make_body(seed: int, phase: int, step: int, index: int):
-    def body(*parent_values: int) -> int:
-        return stream_u64(seed, _ROLE_VALUE, phase, step, index, *parent_values)
-
-    return body
-
-
 def _phase_task(spec: WorkloadSpec, phase: int, pattern_name: str, qos_classes):
     """Phase ``phase``'s per-task hook for :func:`build_taskbench_graph`:
     the position-keyed hash body, a phase-qualified name, and the task's
     drawn priority and QoS class when the spec uses them."""
+    seed = spec.seed
 
     def task(step: int, i: int):
+        def body(*parent_values: int) -> int:
+            return stream_u64(seed, _ROLE_VALUE, phase, step, i, *parent_values)
+
         kwargs = {}
         if spec.use_priorities:
-            kwargs["priority"] = _task_priority(spec.seed, phase, step, i)
+            kwargs["priority"] = _task_priority(seed, phase, step, i)
         if qos_classes is not None:
             kwargs["qos"] = _task_qos(spec, qos_classes, phase, step, i)
-        body = _make_body(spec.seed, phase, step, i)
         return body, f"verify:{pattern_name}[{phase}][{step}][{i}]", kwargs
 
     return task
