@@ -373,6 +373,7 @@ class TestExtensionExperimentsSmoke:
         assert "plain (28 workers)" in labels
         assert "throttled" in labels
         assert "final worker limit" in labels
+        assert_golden(fig, "throttling")
 
     @pytest.mark.slow
     def test_cov_runs(self):
@@ -390,3 +391,12 @@ class TestExtensionExperimentsSmoke:
         fig = exp.run(SMOKE)
         problems = exp.shape_checks(fig)
         assert problems == [], problems
+        assert_golden(fig, "wavefront")
+
+    def test_tuner_converges_and_is_pinned(self):
+        from repro.experiments import tuner_experiment as exp
+
+        fig = exp.run(SMOKE)
+        problems = exp.shape_checks(fig)
+        assert problems == [], problems
+        assert_golden(fig, "tuner")
