@@ -162,10 +162,6 @@ class RuntimeChecker:
         with self._mutex:
             self._futures.append(future)
 
-    @property
-    def registered_futures(self) -> list["Future"]:
-        return list(self._futures)
-
     # -- lockset machinery -----------------------------------------------------
 
     def tracked_lock(self, name: str = "lock") -> TrackedLock:

@@ -99,9 +99,6 @@ class TaskGraph:
     def predecessors(self, node_id: int) -> set[int]:
         return set(self._pred.get(node_id, ()))
 
-    def successors(self, node_id: int) -> set[int]:
-        return set(self._succ.get(node_id, ()))
-
     # -- cycles (Tarjan strongly connected components) ------------------------
 
     def find_cycles(self) -> list[list[int]]:

@@ -112,15 +112,6 @@ class Scope:
             scope = scope.parent
         return None
 
-    def resolve_function(self, name: str) -> "Scope | None":
-        """Find the scope of a def named ``name``, walking outward."""
-        scope: Scope | None = self
-        while scope is not None:
-            if name in scope.functions:
-                return scope.functions[name]
-            scope = scope.parent
-        return None
-
     def walk(self) -> Iterator["Scope"]:
         yield self
         for child in self.children:

@@ -752,7 +752,3 @@ class SimExecutor:
         to balance re-executed work against lost work.
         """
         return sum(w.tasks_executed for w in self.workers)
-
-    @property
-    def busy_workers(self) -> int:
-        return self._busy_count

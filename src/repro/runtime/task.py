@@ -181,11 +181,6 @@ class Task:
         """Per-task t_func: execution plus management time."""
         return self.exec_ns + self.overhead_ns
 
-    @property
-    def debug_name(self) -> str:
-        """Stable human-readable identity for analyzer and trace findings."""
-        return f"{self.name} (#{self.task_id})"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Task #{self.task_id} {self.name!r} state={self.state.value} "

@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.runtime.task import Priority, Task
+from repro.runtime.task import Task
 from repro.schedulers.queues import DualQueue, QueueStats
 from repro.sim.machine import Machine
 
@@ -208,7 +208,3 @@ class SchedulingPolicy:
         for q in self.queues():
             total.merge(q.stats)
         return total
-
-    @staticmethod
-    def classify_priority(task: Task) -> Priority:
-        return task.priority

@@ -130,10 +130,6 @@ class PriorityLocalScheduler(SchedulingPolicy):
         if self._low is not None:
             yield self._low
 
-    def normal_queue(self, worker: int) -> DualQueue:
-        """The normal-priority dual queue of ``worker`` (tests/counters)."""
-        return self._normal[worker]
-
     def worker_queue_depth(self, worker: int) -> int:
         """Hot (staged+pending) depth of the queues homed on ``worker``.
 

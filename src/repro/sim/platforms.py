@@ -118,10 +118,6 @@ class PlatformSpec:
     #: time steps used by the paper on this platform (50, or 5 on the Phi)
     paper_time_steps: int = 50
 
-    @property
-    def l2_per_core_bytes(self) -> int:
-        return self.l2_bytes
-
     def cache_string(self) -> str:
         """Human-readable cache summary in Table I's format."""
         parts = [

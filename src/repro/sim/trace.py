@@ -104,12 +104,6 @@ class ExecutionTrace:
     def task_count(self) -> int:
         return len({p.task_id for p in self.phases})
 
-    def busy_ns_of_worker(self, worker: int) -> int:
-        """Execution plus management time of one worker."""
-        return sum(
-            p.duration_ns + p.mgmt_ns for p in self.phases_of_worker(worker)
-        )
-
     def validate(self) -> list[str]:
         """Internal-consistency check; returns violations (empty = clean).
 

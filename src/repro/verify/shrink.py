@@ -37,10 +37,6 @@ def spec_size(spec: WorkloadSpec) -> int:
     return spec.size()
 
 
-def _valid(candidate: WorkloadSpec | None) -> bool:
-    return candidate is not None
-
-
 def _try(spec: WorkloadSpec, **changes) -> WorkloadSpec | None:
     """``replace`` that returns None when validation rejects the combo."""
     try:

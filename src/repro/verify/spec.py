@@ -23,7 +23,7 @@ reduces it, which is what makes shrinking terminate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.faults.plan import stream_u64
@@ -313,8 +313,3 @@ def generate_spec(seed: int) -> WorkloadSpec:
         use_rt=use_rt,
         use_tail=use_tail,
     )
-
-
-def simplify(spec: WorkloadSpec, **changes: Any) -> WorkloadSpec:
-    """``dataclasses.replace`` that re-validates (shrinker helper)."""
-    return replace(spec, **changes)
