@@ -263,15 +263,34 @@ def _dist_config(spec: WorkloadSpec, num_localities: int) -> DistConfig:
         cores_per_locality=spec.num_cores,
         scheduler=spec.scheduler,
         seed=spec.runtime_seed,
-        faults=FaultPlan(
-            seed=spec.fault_seed,
-            drop_rate=spec.drop_rate,
-            duplicate_rate=spec.duplicate_rate,
-        )
-        if faulted
-        else None,
+        faults=_wire_faults(spec) if faulted else None,
         # a lossy wire needs the ack/retransmit protocol or it starves
         retry=RetryParams() if faulted else None,
+    )
+
+
+def _wire_faults(spec: WorkloadSpec, **events) -> FaultPlan:
+    """The spec's drop and duplicate rates on its fault seed, plus
+    ``events`` (crashes, stragglers)."""
+    return FaultPlan(
+        seed=spec.fault_seed,
+        drop_rate=spec.drop_rate,
+        duplicate_rate=spec.duplicate_rate,
+        **events,
+    )
+
+
+def _recovery_config(spec: WorkloadSpec, **events) -> DistConfig:
+    """The base of the crash and tail legs: every locality, the spec's
+    wire faults plus ``events``, and crash recovery armed."""
+    return replace(
+        _dist_config(spec, spec.num_localities),
+        faults=_wire_faults(spec, **events),
+        # the crash and tail layers ride the ack protocol
+        retry=RetryParams(),
+        # fuzz workloads are tiny, so checkpoint well below the default
+        # cadence or the restore path would never see a durable entry
+        crash_recovery=RecoveryConfig(checkpoint_interval_ns=100_000),
     )
 
 
@@ -310,24 +329,7 @@ def run_dist_crash(spec: WorkloadSpec, crash_at_ns: int):
     spec's exact structural answer.
     """
     n = spec.num_localities
-    config = DistConfig(
-        num_localities=n,
-        platform=spec.platform,
-        cores_per_locality=spec.num_cores,
-        scheduler=spec.scheduler,
-        seed=spec.runtime_seed,
-        faults=FaultPlan(
-            seed=spec.fault_seed,
-            drop_rate=spec.drop_rate,
-            duplicate_rate=spec.duplicate_rate,
-            crashes=(CrashAt(n - 1, crash_at_ns),),
-        ),
-        # fail-fast on the dead link still needs the ack protocol alive
-        retry=RetryParams(),
-        # fuzz workloads are tiny, so checkpoint well below the default
-        # cadence or the restore path would never see a durable entry
-        crash_recovery=RecoveryConfig(checkpoint_interval_ns=100_000),
-    )
+    config = _recovery_config(spec, crashes=(CrashAt(n - 1, crash_at_ns),))
     return _run_dist(spec, config, f"dist@{n}-crash")
 
 
@@ -337,7 +339,7 @@ def run_dist_tail(spec: WorkloadSpec):
 
     The straggler factor sits deliberately *inside* the crash detector's
     adaptive tolerance (``suspicion_after`` x the observed gap) and above
-    the gray threshold (``degraded_factor`` 3x), so the quorum never
+    the gray threshold (``DEGRADED_FACTOR`` 3x), so the quorum never
     declares it while the tail layer both flags it and speculates its
     tasks onto healthy survivors.  First-completion-wins must leave the
     structural fingerprint exact (a winning clone computes the same pure
@@ -347,21 +349,8 @@ def run_dist_tail(spec: WorkloadSpec):
     from repro.tail import TailConfig
 
     n = spec.num_localities
-    config = DistConfig(
-        num_localities=n,
-        platform=spec.platform,
-        cores_per_locality=spec.num_cores,
-        scheduler=spec.scheduler,
-        seed=spec.runtime_seed,
-        faults=FaultPlan(
-            seed=spec.fault_seed,
-            drop_rate=spec.drop_rate,
-            duplicate_rate=spec.duplicate_rate,
-            stragglers=(Straggler(n - 1, 4.0),),
-        ),
-        # hedge timers race against acks; drops are what hedges insure
-        retry=RetryParams(),
-        crash_recovery=RecoveryConfig(checkpoint_interval_ns=100_000),
+    config = replace(
+        _recovery_config(spec, stragglers=(Straggler(n - 1, 4.0),)),
         # sweep fast relative to the tiny fuzz workloads, and hedge
         # aggressively so the machinery actually engages at this scale
         tail=TailConfig(check_interval_ns=25_000, hedge_min_delay_ns=5_000),
@@ -446,6 +435,17 @@ def verify_spec(
         report.results[backend] = structural
         return structural
 
+    def check_distributed(structural: StructuralResult, run) -> None:
+        """The conservation checks every multi-locality leg owes."""
+        report.findings += TASKS_CONSERVED.check(
+            spec.total_tasks, structural.unready, structural.tasks_executed
+        )
+        report.findings += DEPENDENCY_ORDER_CONSERVED.check(
+            model.fingerprint, structural.fingerprint,
+            backend=structural.backend,
+        )
+        report.findings += PARCELS_CONSERVED.check(run)
+
     # 1. canonical sim run: the reference every other backend must match
     sim, sim_run = run_sim(spec)
     sim = post("sim", sim)
@@ -512,26 +512,14 @@ def verify_spec(
     if spec.num_localities > 1:
         distn, distn_run = run_dist(spec, spec.num_localities)
         distn = post(f"dist@{spec.num_localities}", distn)
-        report.findings += TASKS_CONSERVED.check(
-            spec.total_tasks, distn.unready, distn.tasks_executed
-        )
-        report.findings += DEPENDENCY_ORDER_CONSERVED.check(
-            model.fingerprint, distn.fingerprint, backend=distn.backend
-        )
-        report.findings += PARCELS_CONSERVED.check(distn_run)
+        check_distributed(distn, distn_run)
 
         # 7. kill a locality mid-run; recovery must restore the answer
         if spec.use_recovery:
             crash_at = max(1, distn_run.execution_time_ns // 2)
             distc, distc_run = run_dist_crash(spec, crash_at)
             distc = post(distc.backend, distc)
-            report.findings += TASKS_CONSERVED.check(
-                spec.total_tasks, distc.unready, distc.tasks_executed
-            )
-            report.findings += DEPENDENCY_ORDER_CONSERVED.check(
-                model.fingerprint, distc.fingerprint, backend=distc.backend
-            )
-            report.findings += PARCELS_CONSERVED.check(distc_run)
+            check_distributed(distc, distc_run)
             report.findings += RECOVERY_CONSERVED.check(distc_run)
             if distc_run.crashes_detected != 1:
                 report.findings.append(
@@ -550,13 +538,7 @@ def verify_spec(
         if spec.use_tail:
             distt, distt_run = run_dist_tail(spec)
             distt = post(distt.backend, distt)
-            report.findings += TASKS_CONSERVED.check(
-                spec.total_tasks, distt.unready, distt.tasks_executed
-            )
-            report.findings += DEPENDENCY_ORDER_CONSERVED.check(
-                model.fingerprint, distt.fingerprint, backend=distt.backend
-            )
-            report.findings += PARCELS_CONSERVED.check(distt_run)
+            check_distributed(distt, distt_run)
             report.findings += SPECULATION_CONSERVED.check(distt_run)
             if distt_run.crashes_detected != 0:
                 report.findings.append(
