@@ -3,14 +3,16 @@
 
 Sec. II-A stresses that every metric "can be calculated over any interval of
 interest", which is what makes runtime adaptation possible.  This example
-runs HPX-Stencil with periodic counter sampling and prints per-interval
-idle-rate, task throughput and queue activity — the live signal the
-adaptive tuner consumes.
+runs HPX-Stencil under a policy engine with no policies — periodic counter
+sampling and nothing else — and prints per-interval idle-rate, task
+throughput and queue activity: the live signal the adaptive tuner and the
+throttling policy consume.
 
 Run: ``python examples/dynamic_monitoring.py``
 """
 
 from repro.apps.stencil1d import StencilConfig, build_stencil_graph
+from repro.core.policy import PolicyEngine
 from repro.runtime.runtime import Runtime, RuntimeConfig
 from repro.util.tables import format_table
 
@@ -23,7 +25,7 @@ def main() -> None:
         total_points=1 << 19, partition_points=2_048, time_steps=10
     )
     build_stencil_graph(rt, config)
-    result = rt.run(sample_interval_ns=SAMPLE_INTERVAL_NS)
+    result = PolicyEngine(rt, interval_ns=SAMPLE_INTERVAL_NS).run()
 
     rows = []
     for sample in rt.sampler.samples:

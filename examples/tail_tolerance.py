@@ -14,7 +14,7 @@ for exactly that gray zone:
    deduplicated by the reliable transport's ledger;
 3. speculative task re-execution: pending tasks of a degraded locality
    are cloned onto healthy survivors, first completion wins, within a
-   ``max_speculation_frac`` work budget.
+   ``MAX_SPECULATION_FRAC`` work budget.
 
 When a *real* crash happens beside the straggler, partition fencing
 keeps the two failure modes from blurring: the declared locality's

@@ -27,6 +27,10 @@ from typing import Protocol
 from repro.counters.interval import IntervalSample
 from repro.runtime.runtime import Runtime, RunResult
 
+#: a throttling step counts as an improvement (or a regression) once the
+#: interval task rate moves by more than this fraction
+TOLERANCE = 0.05
+
 
 @dataclass
 class PolicyContext:
@@ -74,7 +78,7 @@ class ThrottlingPolicy:
     active workers (the fine-grained regime).  Each interval:
 
     - measure ``rate = tasks completed / interval``;
-    - if the last adjustment improved the rate by at least ``tolerance``,
+    - if the last adjustment improved the rate by at least ``TOLERANCE``,
       keep moving in the same direction;
     - if it made things worse, revert direction (and remember the rate under
       the old limit as the new baseline);
@@ -87,7 +91,6 @@ class ThrottlingPolicy:
     (``settled``), avoiding oscillation around the optimum.
     """
 
-    tolerance: float = 0.05
     min_workers: int = 1
     decisions: list[ThrottleDecision] = field(default_factory=list)
     _last_rate: float | None = field(default=None, repr=False)
@@ -123,10 +126,10 @@ class ThrottlingPolicy:
         limit = ctx.active_worker_limit
 
         if self._direction != 0 and self._last_rate is not None:
-            if rate > self._last_rate * (1.0 + self.tolerance):
+            if rate > self._last_rate * (1.0 + TOLERANCE):
                 # Improvement: keep climbing the same way.
                 self._move(ctx, self._direction, rate, "improved, continue")
-            elif rate < self._last_rate * (1.0 - self.tolerance):
+            elif rate < self._last_rate * (1.0 - TOLERANCE):
                 # Regression: undo and mark the direction as explored.
                 self._failed_directions.add(self._direction)
                 undo = -self._direction
@@ -188,11 +191,6 @@ class PolicyEngine:
 
     def add_policy(self, policy: Policy) -> "PolicyEngine":
         self.policies.append(policy)
-        # Policies may export their own counters (e.g. the overload
-        # governor's /overload/count/governor-actions).
-        register = getattr(policy, "register_counters", None)
-        if register is not None:
-            register(self.runtime.registry)
         return self
 
     def run(self) -> RunResult:

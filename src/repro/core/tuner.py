@@ -40,6 +40,19 @@ from repro.runtime.runtime import RunResult, RuntimeConfig
 #: One epoch: run the application briefly at a grain size.
 EpochFn = Callable[[RuntimeConfig, int], RunResult]
 
+#: overhead-to-duration ratio above which the grain is "too fine"
+OVERHEAD_RATIO_HI = 0.20
+#: tasks per core separating the fine wall from the coarse wall
+STARVATION_TASKS_PER_CORE = 64.0
+#: initial multiplicative step of the region-feedback phase
+STEP = 4.0
+#: step shrink on each direction reversal
+STEP_SHRINK = 0.5
+#: region phase ends when its step falls below this
+MIN_STEP = 1.19
+#: initial neighbourhood of the refinement phase
+REFINE_STEP = 2.0
+
 
 @dataclass(frozen=True)
 class TunerConfig:
@@ -48,20 +61,8 @@ class TunerConfig:
     min_grain: int
     max_grain: int
     initial_grain: int | None = None
-    #: overhead-to-duration ratio above which the grain is "too fine"
-    overhead_ratio_hi: float = 0.20
     #: utilization (avg concurrency / cores) below which it is "too coarse"
     utilization_lo: float = 0.60
-    #: tasks per core separating the fine wall from the coarse wall
-    starvation_tasks_per_core: float = 64.0
-    #: initial multiplicative step of the region-feedback phase
-    step: float = 4.0
-    #: step shrink on each direction reversal
-    step_shrink: float = 0.5
-    #: region phase ends when its step falls below this
-    min_step: float = 1.19
-    #: initial neighbourhood of the refinement phase
-    refine_step: float = 2.0
     #: a refinement move must improve time by this fraction
     refine_improvement: float = 0.02
     max_epochs: int = 40
@@ -69,10 +70,6 @@ class TunerConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.min_grain <= self.max_grain:
             raise ValueError("need 1 <= min_grain <= max_grain")
-        if self.step <= 1.0 or self.refine_step <= 1.0:
-            raise ValueError("step factors must be > 1.0")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must be in (0, 1)")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
 
@@ -147,8 +144,8 @@ class AdaptiveGrainTuner:
         tasks_per_core = (
             metrics.tasks_executed / metrics.num_cores if metrics.num_cores else 0.0
         )
-        many_tasks = tasks_per_core >= cfg.starvation_tasks_per_core
-        if overhead_ratio > cfg.overhead_ratio_hi and many_tasks:
+        many_tasks = tasks_per_core >= STARVATION_TASKS_PER_CORE
+        if overhead_ratio > OVERHEAD_RATIO_HI and many_tasks:
             return "too-fine", overhead_ratio, utilization
         if utilization < cfg.utilization_lo and not many_tasks and metrics.num_cores > 1:
             return "too-coarse", overhead_ratio, utilization
@@ -197,7 +194,7 @@ class AdaptiveGrainTuner:
         grain = clamp(
             cfg.initial_grain if cfg.initial_grain is not None else cfg.min_grain
         )
-        step_factor = cfg.step
+        step_factor = STEP
         last_direction = 0
         in_region = False
         while True:
@@ -215,9 +212,9 @@ class AdaptiveGrainTuner:
             self._annotate_last(result, "grow" if direction > 0 else "shrink")
             if last_direction != 0 and direction != last_direction:
                 step_factor = max(
-                    1.0 + (step_factor - 1.0) * cfg.step_shrink, cfg.min_step
+                    1.0 + (step_factor - 1.0) * STEP_SHRINK, MIN_STEP
                 )
-                if step_factor <= cfg.min_step:
+                if step_factor <= MIN_STEP:
                     in_region = True
                     break
             new_grain = clamp(
@@ -232,7 +229,7 @@ class AdaptiveGrainTuner:
             last_direction = direction
 
         # ---- phase 2: greedy refinement on measured epoch time ----
-        refine = cfg.refine_step
+        refine = REFINE_STEP
         while in_region and epoch_counter[0] < cfg.max_epochs and refine > 1.05:
             current_time = times[grain]
             candidates = []

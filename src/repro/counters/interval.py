@@ -4,9 +4,8 @@ The paper stresses that every metric "can be calculated over any interval of
 interest" (Sec. II-A) — that is what makes the metrics usable for *dynamic*
 adaptation rather than only post-mortem analysis.  :class:`IntervalSampler`
 takes successive snapshots of a registry and exposes the per-interval deltas.
-:class:`repro.core.policy.PolicyEngine` consumes these samples, and
-``Runtime.run(sample_interval_ns=...)`` collects them on a virtual-time
-timer.
+:class:`repro.core.policy.PolicyEngine` collects them on a virtual-time
+timer and feeds them to its policies.
 """
 
 from __future__ import annotations

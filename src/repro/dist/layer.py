@@ -47,9 +47,7 @@ class Layer:
     def on_declare(self, locality: int) -> None:
         """The failure detector declared ``locality`` dead."""
 
-    def on_heartbeat(
-        self, monitor: int, peer: int, gap_ns: int, nominal_ns: int
-    ) -> None:
+    def on_heartbeat(self, monitor: int, peer: int, gap_ns: int) -> None:
         """``monitor`` heard ``peer`` again ``gap_ns`` after last time."""
 
     def diagnose(self) -> list[str]:

@@ -95,6 +95,8 @@ from repro.sim.engine import Event, Simulator
 
 #: role tag for the retransmit-jitter stream (see repro.faults.plan)
 _ROLE_JITTER = 0x33
+#: payload bytes of the acknowledgement control message
+ACK_BYTES = 0
 
 #: callback type: delivery of a parcel at its destination
 DeliveryFn = Callable[["Parcel"], None]
@@ -590,9 +592,7 @@ class Parcelport:
     def _schedule_ack(self, sender: "Parcelport", parcel: Parcel) -> None:
         """Acknowledge a received copy over the reverse link."""
         assert self.retry is not None
-        delay = self.network.transfer_ns(
-            self.locality, sender.locality, self.retry.ack_bytes
-        )
+        delay = self.network.transfer_ns(self.locality, sender.locality, ACK_BYTES)
         self.sim.schedule(delay, lambda: sender._on_ack(parcel.parcel_id))
 
     def _on_ack(self, parcel_id: int) -> None:

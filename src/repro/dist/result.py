@@ -130,7 +130,7 @@ class DistRunResult:
     speculation_wins = _sum("tail", "count/speculation-wins")
     speculations_cancelled = _sum("tail", "count/speculations-cancelled")
     originals_cancelled = _sum("tail", "count/originals-cancelled")
-    #: max_speculation_frac of the tasks completed by the end of the run
+    #: MAX_SPECULATION_FRAC of the tasks completed by the end of the run
     speculation_budget = _sum("tail", "count/speculation-budget@gauge")
     fenced_rejections = _sum("tail", "count/fenced-rejections")
 

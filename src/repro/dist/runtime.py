@@ -81,7 +81,6 @@ class DistConfig:
     seed: int = 0
     #: the transport model; None means the default commodity interconnect
     network: NetworkModel | None = None
-    timer_counters: bool = True
     #: per-task management overhead grows with the locality count: every
     #: thread created in a distributed run additionally touches AGAS credit
     #: tracking and distributed termination detection (Wu et al. measure
@@ -106,7 +105,7 @@ class DistConfig:
     recovery: str = "none"
     #: re-executions allowed per proxy before giving up
     max_recoveries: int = 3
-    #: default watchdog deadline for :meth:`DistRuntime.run`/``wait`` (ns of
+    #: watchdog deadline for :meth:`DistRuntime.run`/``wait`` (ns of
     #: virtual time); ``None`` disables the watchdog
     watchdog_ns: int | None = None
     #: opt-in overload control (:mod:`repro.overload`): ``admission``
@@ -294,7 +293,6 @@ class DistRuntime:
                     # locality 0 keeps the caller's seed so a 1-locality
                     # run reproduces the single-node runtime exactly.
                     seed=config.seed + 0x9E3779B1 * i,
-                    timer_counters=config.timer_counters,
                     # Admission control applies per locality (each has its
                     # own scheduler); credits/breaker belong to the port.
                     overload=config.overload,
@@ -834,21 +832,20 @@ class DistRuntime:
             )
         return "; ".join(parts) if parts else "no locality reports pending work"
 
-    def run(self, *, watchdog_ns: int | None = None) -> DistRunResult:
+    def run(self) -> DistRunResult:
         """Drive all localities until every task everywhere has terminated.
 
-        ``watchdog_ns`` (default: the config's) bounds the run in *virtual*
-        time: if the deadline passes with work still pending, the run stops
-        with a :class:`WatchdogTimeout` whose message names the stuck
-        localities and unacknowledged parcels instead of hanging silently.
+        ``DistConfig.watchdog_ns`` bounds the run in *virtual* time: if the
+        deadline passes with work still pending, the run stops with a
+        :class:`WatchdogTimeout` whose message names the stuck localities
+        and unacknowledged parcels instead of hanging silently.
         """
         if self._ran:
             raise RuntimeError(
                 "DistRuntime instances are single-use; build a new one"
             )
         self._ran = True
-        if watchdog_ns is None:
-            watchdog_ns = self.config.watchdog_ns
+        watchdog_ns = self.config.watchdog_ns
         if self.injector is not None:
             for loc in self.localities:
                 at = self.injector.crash_time(loc.index)
@@ -952,12 +949,7 @@ class DistRuntime:
             stack.extend(f.dependencies)
         return None
 
-    def wait(
-        self,
-        futures: Sequence[Future] = (),
-        *,
-        watchdog_ns: int | None = None,
-    ) -> DistRunResult:
+    def wait(self, futures: Sequence[Future] = ()) -> DistRunResult:
         """Run (if not yet run) and demand that ``futures`` were satisfied.
 
         The blocking ``.get()`` of this runtime: any future that carries an
@@ -969,9 +961,7 @@ class DistRuntime:
         :class:`~repro.runtime.sim_executor.DeadlockError` or
         :class:`ParcelLostError` from :meth:`run`.
         """
-        result = (
-            self.run(watchdog_ns=watchdog_ns) if not self._ran else self._result
-        )
+        result = self.run() if not self._ran else self._result
         if result is None:
             raise RuntimeError("the run failed before producing a result")
         for f in futures:

@@ -7,7 +7,7 @@ should a locality checkpoint its completed task results?
 Two forces, both functions of the grain:
 
 - **checkpointing costs a tick** — every ``checkpoint_interval_ns`` each
-  locality runs a visible checkpoint task (``checkpoint_base_ns`` plus the
+  locality runs a visible checkpoint task (``CHECKPOINT_BASE_NS`` plus the
   serialization of the entries it persists) that competes with application
   work.  An interval shorter than the grain's task-completion period buys
   *nothing*: most ticks persist zero entries and are pure overhead, so the

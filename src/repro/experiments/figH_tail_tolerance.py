@@ -27,7 +27,7 @@ dependency chains with constant total work per cell, and asserts:
   fault-free optimum (speculation absorbs the synchronization tax that
   was pushing the minimum coarser);
 - **work amplification respects the budget** — every cell's speculated
-  clones stay within ``max_speculation_frac`` of completed work
+  clones stay within ``MAX_SPECULATION_FRAC`` of completed work
   (the PF410 ledger's budget term, asserted per cell);
 - **reruns are bit-identical** — a straggled, hedged, speculating cell
   re-run from the same seed reproduces values, makespan, and every
@@ -69,7 +69,7 @@ PAPER_CLAIMS = [
     "the best grain stays within a small constant of fault-free while the "
     "unprotected leg diverges, and the fault-free optimum grain is restored",
     "speculation is budgeted: cloned work never exceeds "
-    "max_speculation_frac of completed tasks, and a rerun of the same "
+    "MAX_SPECULATION_FRAC of completed tasks, and a rerun of the same "
     "seed is bit-identical",
 ]
 

@@ -40,8 +40,6 @@ class RetryParams:
     max_jitter_ns: int = 10_000
     #: retransmissions allowed before the parcel is declared lost
     max_retries: int = 4
-    #: payload bytes of the acknowledgement control message
-    ack_bytes: int = 0
 
     def __post_init__(self) -> None:
         if self.ack_timeout_ns <= 0:
@@ -52,8 +50,6 @@ class RetryParams:
             raise ValueError("max_jitter_ns must be >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.ack_bytes < 0:
-            raise ValueError("ack_bytes must be >= 0")
 
     def timeout_ns(self, attempt: int) -> int:
         """The pre-jitter retransmit timer for transmission ``attempt``."""

@@ -10,7 +10,8 @@ behaviour bit-for-bit):
   (:class:`~repro.overload.config.CreditParams`);
 - :mod:`repro.overload.breaker` — per-link circuit breakers over the
   retry transport;
-- :mod:`repro.overload.governor` — the graceful-degradation controller.
+- :mod:`repro.overload.governor` — the epoch-level graceful-degradation
+  controller.
 
 figO's open-loop offered load runs through
 :func:`repro.qos.service.run_qos_service` as one unclassed tenant.  See
@@ -22,12 +23,7 @@ from repro.overload.admission import AdmissionControl, AdmissionParams, Admissio
 from repro.overload.breaker import BreakerParams, BreakerState, CircuitBreaker
 from repro.overload.config import CreditParams, OverloadConfig
 from repro.overload.errors import CircuitOpenError, OverloadError, TaskShedError
-from repro.overload.governor import (
-    GovernorAction,
-    GovernorParams,
-    GovernorSignals,
-    OverloadGovernor,
-)
+from repro.overload.governor import GovernorAction, GovernorSignals, OverloadGovernor
 
 __all__ = [
     "AdmissionControl",
@@ -39,7 +35,6 @@ __all__ = [
     "CircuitOpenError",
     "CreditParams",
     "GovernorAction",
-    "GovernorParams",
     "GovernorSignals",
     "OverloadConfig",
     "OverloadError",

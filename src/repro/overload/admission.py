@@ -101,9 +101,8 @@ class AdmissionControl:
     One instance is attached to every :class:`DualQueue` of a scheduling
     policy; each queue keeps its own deferred lane while bounds, policy,
     statistics and the shed callback live here.  ``max_depth`` is
-    deliberately mutable: the :class:`~repro.overload.governor
-    .OverloadGovernor` throttles admitted concurrency by tightening it
-    mid-run.
+    ``params.max_depth``, copied onto the instance because every admission
+    reads it.
     """
 
     def __init__(

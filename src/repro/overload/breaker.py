@@ -41,6 +41,11 @@ __all__ = ["BreakerState", "BreakerParams", "CircuitBreaker"]
 #: SplitMix64 role tag for half-open probe jitter (0x11 drop, 0x22
 #: duplicate, 0x33 retransmit jitter are taken by repro.faults).
 _ROLE_BREAKER = 0x44
+#: the cooldown multiplies by this for every re-open without an
+#: intervening close...
+COOLDOWN_BACKOFF = 2.0
+#: ...up to this cap
+MAX_COOLDOWN_NS = 64_000_000
 
 
 class BreakerState(enum.Enum):
@@ -55,16 +60,14 @@ class BreakerParams:
 
     ``failure_threshold`` consecutive ack-timeouts open the breaker;
     the cooldown before the half-open probe starts at ``cooldown_ns``
-    and multiplies by ``cooldown_backoff`` for every re-open without an
-    intervening close, capped at ``max_cooldown_ns``.  ``fail_fast``
+    and multiplies by ``COOLDOWN_BACKOFF`` for every re-open without an
+    intervening close, capped at ``MAX_COOLDOWN_NS``.  ``fail_fast``
     makes new sends raise :class:`CircuitOpenError` while open instead
     of parking them.
     """
 
     failure_threshold: int = 3
     cooldown_ns: int = 500_000
-    cooldown_backoff: float = 2.0
-    max_cooldown_ns: int = 64_000_000
     max_jitter_ns: int = 10_000
     fail_fast: bool = False
 
@@ -75,10 +78,6 @@ class BreakerParams:
             )
         if self.cooldown_ns <= 0:
             raise ValueError(f"cooldown_ns must be positive, got {self.cooldown_ns}")
-        if self.cooldown_backoff < 1.0:
-            raise ValueError(
-                f"cooldown_backoff must be >= 1, got {self.cooldown_backoff}"
-            )
         if self.max_jitter_ns < 0:
             raise ValueError(f"max_jitter_ns must be >= 0, got {self.max_jitter_ns}")
 
@@ -163,8 +162,8 @@ class CircuitBreaker:
         params = self.params
         self.opened_at_ns = self.sim.now
         cooldown = min(
-            params.cooldown_ns * params.cooldown_backoff**self._open_streak,
-            float(params.max_cooldown_ns),
+            params.cooldown_ns * COOLDOWN_BACKOFF**self._open_streak,
+            float(MAX_COOLDOWN_NS),
         )
         self._open_streak += 1
         jitter = int(

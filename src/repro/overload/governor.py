@@ -2,26 +2,19 @@
 
 The paper's Sec. VI names the control loop this module closes: the
 idle-rate (Eq. 1) and pending-queue metrics (Figs. 9/10) are cheap,
-timestamp-free signals, and grain size / admitted concurrency are the
-knobs.  The governor watches those signals and acts so that goodput
-*plateaus* at the machine's capacity when offered load keeps rising,
-rather than collapsing under task-management overhead:
+timestamp-free signals, and grain size is the knob.  The governor
+watches those signals between epochs (tuner idiom,
+:mod:`repro.core.tuner`) and acts so that goodput *plateaus* at the
+machine's capacity when offered load keeps rising, rather than
+collapsing under task-management overhead: :meth:`OverloadGovernor.observe`
+inspects a finished epoch's :class:`~repro.runtime.runtime.RunResult` and
+coarsens the grain when management overhead rivals useful work, or
+refines it when the machine starves at coarse grain.  Every action is
+recorded in :attr:`OverloadGovernor.actions`.
 
-* **between epochs** (tuner idiom, :mod:`repro.core.tuner`):
-  :meth:`OverloadGovernor.observe` inspects a finished epoch's
-  :class:`~repro.runtime.runtime.RunResult` and coarsens the grain when
-  management overhead rivals useful work, or refines it when the machine
-  starves at coarse grain;
-* **within a run** (policy idiom, :mod:`repro.core.policy`): the
-  governor is also a ``Policy`` — :meth:`on_sample` receives interval
-  counter deltas from a :class:`~repro.core.policy.PolicyEngine` and
-  throttles admitted concurrency (active workers down, and the admission
-  bound with it) while queues are backlogged and overhead-dominated,
-  releasing again when the backlog drains.
-
-Every action is recorded in :attr:`OverloadGovernor.actions`, and the
-count is exported as ``/overload/count/governor-actions`` when the
-governor is installed on a runtime's policy engine.
+The in-run counterpart — throttling the active workers from interval
+counter deltas — is :class:`repro.core.policy.ThrottlingPolicy` under a
+:class:`~repro.core.policy.PolicyEngine`.
 """
 
 from __future__ import annotations
@@ -30,38 +23,22 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.counters.interval import IntervalSample
-    from repro.core.policy import PolicyContext
     from repro.runtime.runtime import RunResult
 
-__all__ = ["GovernorParams", "GovernorSignals", "GovernorAction", "OverloadGovernor"]
+__all__ = ["GovernorSignals", "GovernorAction", "OverloadGovernor"]
 
-
-@dataclass(frozen=True)
-class GovernorParams:
-    """Thresholds and knob ranges for the governor."""
-
-    #: coarsen when per-task management time exceeds this fraction of
-    #: per-task execution time (t_o / t_d)
-    overhead_high: float = 0.5
-    #: refine when idle-rate exceeds this with empty queues (starvation)
-    idle_high: float = 0.4
-    #: per-worker staged+pending depth considered backlogged
-    depth_high: float = 32.0
-    #: multiplicative grain step for coarsen/refine
-    grain_step: float = 2.0
-    min_grain_ns: int = 1_000
-    max_grain_ns: int = 4_000_000
-    min_worker_limit: int = 1
-
-    def __post_init__(self) -> None:
-        if self.grain_step <= 1.0:
-            raise ValueError(f"grain_step must be > 1, got {self.grain_step}")
-        if not 1 <= self.min_grain_ns <= self.max_grain_ns:
-            raise ValueError(
-                f"need 1 <= min_grain_ns <= max_grain_ns, got "
-                f"{self.min_grain_ns}..{self.max_grain_ns}"
-            )
+#: coarsen when per-task management time exceeds this fraction of per-task
+#: execution time (t_o / t_d)
+OVERHEAD_HIGH = 0.5
+#: refine when idle-rate exceeds this with empty queues (starvation)
+IDLE_HIGH = 0.4
+#: per-worker staged+pending depth considered backlogged
+DEPTH_HIGH = 32.0
+#: multiplicative grain step for coarsen/refine
+GRAIN_STEP = 2.0
+#: the grain range the governor moves within
+MIN_GRAIN_NS = 1_000
+MAX_GRAIN_NS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -113,41 +90,35 @@ class GovernorSignals:
 class GovernorAction:
     """Log entry of one governor decision."""
 
-    kind: str  #: "coarsen" | "refine" | "throttle" | "release" | "hold"
+    kind: str  #: "coarsen" | "refine" | "hold"
     reason: str
     grain_ns: int  #: grain in force after the action
-    worker_limit: int | None = None  #: in-run actions only
-    time_ns: int | None = None  #: in-run actions only
 
 
 class OverloadGovernor:
-    """Watches overload signals; coarsens grain and throttles concurrency."""
+    """Watches an epoch's overload signals; coarsens or refines the grain."""
 
-    def __init__(self, params: GovernorParams | None = None, *, grain_ns: int):
-        self.params = params if params is not None else GovernorParams()
-        if not self.params.min_grain_ns <= grain_ns <= self.params.max_grain_ns:
+    def __init__(self, *, grain_ns: int):
+        if not MIN_GRAIN_NS <= grain_ns <= MAX_GRAIN_NS:
             raise ValueError(
                 f"initial grain {grain_ns} outside "
-                f"[{self.params.min_grain_ns}, {self.params.max_grain_ns}]"
+                f"[{MIN_GRAIN_NS}, {MAX_GRAIN_NS}]"
             )
         self.grain_ns = grain_ns
         self.actions: list[GovernorAction] = []
 
-    # -- epoch-level control (tuner idiom) ------------------------------
-
     def observe(self, signals: GovernorSignals) -> GovernorAction:
         """Digest one epoch's signals; returns (and records) the action."""
-        p = self.params
         overloaded = (
             signals.shed_fraction > 0.0
-            or signals.depth_per_worker >= p.depth_high
+            or signals.depth_per_worker >= DEPTH_HIGH
         )
         if signals.high_qos_shed_fraction > 0.0:
             # Shedding highest-rank work means the class ladder's buffers
             # are exhausted: coarsen unconditionally (if headroom remains)
             # — larger grains cut per-task management cost, which is the
             # only capacity the governor can recover for premium traffic.
-            new_grain = min(int(self.grain_ns * p.grain_step), p.max_grain_ns)
+            new_grain = min(int(self.grain_ns * GRAIN_STEP), MAX_GRAIN_NS)
             if new_grain > self.grain_ns:
                 self.grain_ns = new_grain
                 return self._record(
@@ -155,28 +126,28 @@ class OverloadGovernor:
                     f"high-QoS shed fraction "
                     f"{signals.high_qos_shed_fraction:.2%} > 0",
                 )
-        if signals.overhead_ratio > p.overhead_high and (
-            overloaded or signals.idle_rate > p.idle_high
+        if signals.overhead_ratio > OVERHEAD_HIGH and (
+            overloaded or signals.idle_rate > IDLE_HIGH
         ):
             # Management overhead rivals useful work while queues are
             # deep: fewer, larger tasks absorb the same offered work for
             # less per-task cost.
-            new_grain = min(int(self.grain_ns * p.grain_step), p.max_grain_ns)
+            new_grain = min(int(self.grain_ns * GRAIN_STEP), MAX_GRAIN_NS)
             if new_grain > self.grain_ns:
                 self.grain_ns = new_grain
                 return self._record(
                     "coarsen",
                     f"overhead ratio {signals.overhead_ratio:.2f} "
-                    f"> {p.overhead_high}",
+                    f"> {OVERHEAD_HIGH}",
                 )
         elif (
-            signals.idle_rate > p.idle_high
+            signals.idle_rate > IDLE_HIGH
             and not overloaded
             and signals.pending_miss_rate > 0.5
         ):
             # Workers mostly find empty queues and the machine idles:
             # the grain is too coarse to feed every core.
-            new_grain = max(int(self.grain_ns / p.grain_step), p.min_grain_ns)
+            new_grain = max(int(self.grain_ns / GRAIN_STEP), MIN_GRAIN_NS)
             if new_grain < self.grain_ns:
                 self.grain_ns = new_grain
                 return self._record(
@@ -186,82 +157,7 @@ class OverloadGovernor:
                 )
         return self._record("hold", "signals within bounds")
 
-    # -- in-run control (Policy protocol, structural) -------------------
-
-    def register_counters(self, registry) -> None:
-        """Export the decision count (PolicyEngine calls this on install)."""
-        registry.derived(
-            "/overload/count/governor-actions",
-            lambda: float(len(self.actions)),
-            "overload-governor decisions recorded this run",
-        )
-
-    def on_sample(self, sample: "IntervalSample", ctx: "PolicyContext") -> None:
-        """Throttle admitted concurrency while backlogged and
-        overhead-dominated; release when the backlog drains."""
-        if sample.length_ns <= 0:
-            return
-        p = self.params
-        tasks = sample.get("/threads/count/cumulative")
-        exec_ns = sample.get("/threads/time/cumulative")
-        limit = ctx.active_worker_limit
-        available = limit * sample.length_ns
-        overhead_dominated = (
-            tasks > 0 and (available - exec_ns) / tasks > exec_ns / tasks
-        )
-        depth_per_worker = ctx.runtime.policy.queued_tasks() / max(1, limit)
-        if (
-            overhead_dominated
-            and depth_per_worker >= p.depth_high
-            and limit > p.min_worker_limit
-        ):
-            new_limit = max(p.min_worker_limit, int(limit * 0.6))
-            ctx.set_active_worker_limit(new_limit)
-            self._tighten_admission(ctx, new_limit)
-            self._record(
-                "throttle",
-                f"depth/worker {depth_per_worker:.0f} and overhead-dominated",
-                worker_limit=new_limit,
-                time_ns=ctx.now_ns,
-            )
-        elif (
-            not overhead_dominated
-            and depth_per_worker < p.depth_high / 2
-            and limit < ctx.num_workers
-        ):
-            new_limit = min(ctx.num_workers, limit + max(1, limit // 3))
-            ctx.set_active_worker_limit(new_limit)
-            self._record(
-                "release",
-                f"backlog drained (depth/worker {depth_per_worker:.0f})",
-                worker_limit=new_limit,
-                time_ns=ctx.now_ns,
-            )
-
-    @staticmethod
-    def _tighten_admission(ctx: "PolicyContext", worker_limit: int) -> None:
-        """Scale the live admission bound with the worker limit, if bounded."""
-        admission = getattr(ctx.runtime, "admission", None)
-        if admission is None or admission.params.max_depth is None:
-            return
-        floor = max(1, admission.params.max_depth // 4)
-        scaled = admission.params.max_depth * worker_limit // ctx.num_workers
-        admission.max_depth = max(floor, scaled)
-
-    def _record(
-        self,
-        kind: str,
-        reason: str,
-        *,
-        worker_limit: int | None = None,
-        time_ns: int | None = None,
-    ) -> GovernorAction:
-        action = GovernorAction(
-            kind=kind,
-            reason=reason,
-            grain_ns=self.grain_ns,
-            worker_limit=worker_limit,
-            time_ns=time_ns,
-        )
+    def _record(self, kind: str, reason: str) -> GovernorAction:
+        action = GovernorAction(kind=kind, reason=reason, grain_ns=self.grain_ns)
         self.actions.append(action)
         return action

@@ -9,7 +9,7 @@ the runtime bit-identical to the pre-recovery code) is a
 It runs three machines on the shared virtual clock:
 
 **1. Heartbeat failure detection.**  Every locality emits a heartbeat to
-every peer each ``heartbeat_interval_ns`` (times its straggler factor, plus
+every peer each ``HEARTBEAT_INTERVAL_NS`` (times its straggler factor, plus
 seeded SplitMix64 jitter — role ``0x55`` in the :mod:`repro.faults.plan`
 registry).  Heartbeats ride the modelled network: each arrival is delayed by
 the same per-link transfer time — degradation windows included — that a
@@ -61,7 +61,14 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.dist.layer import Layer, implementers
 from repro.faults.errors import UnrecoverableCrashError
 from repro.faults.plan import ROLE_HEARTBEAT, stream_u64
-from repro.recovery.config import RecoveryConfig
+from repro.recovery.config import (
+    CHECKPOINT_BASE_NS,
+    CHECKPOINT_ENTRY_BYTES,
+    HEARTBEAT_BYTES,
+    HEARTBEAT_INTERVAL_NS,
+    HEARTBEAT_JITTER_NS,
+    RecoveryConfig,
+)
 from repro.runtime.future import Future
 from repro.runtime.work import FixedWork, WorkDescriptor
 
@@ -126,7 +133,7 @@ class RecoveryManager(Layer):
         #: the other layers' heartbeat hooks (bound when the run starts)
         self._heartbeat_layers: tuple[Layer, ...] = ()
         # -- detector state --------------------------------------------------
-        init_gap = config.heartbeat_interval_ns + config.heartbeat_jitter_ns
+        init_gap = HEARTBEAT_INTERVAL_NS + HEARTBEAT_JITTER_NS
         self._last_seen = [[0] * n for _ in range(n)]
         self._max_gap = [[init_gap] * n for _ in range(n)]
         self._suspected: list[set[int]] = [set() for _ in range(n)]
@@ -292,12 +299,10 @@ class RecoveryManager(Layer):
         if self.dist.injector is not None:
             factor = self.dist.injector.straggler_factor(i)
         seq = self._hb_seq[i]
-        jitter = 0
-        if self.config.heartbeat_jitter_ns > 0:
-            jitter = stream_u64(self._seed, ROLE_HEARTBEAT, i, seq) % (
-                self.config.heartbeat_jitter_ns + 1
-            )
-        return int(self.config.heartbeat_interval_ns * factor) + jitter
+        jitter = stream_u64(self._seed, ROLE_HEARTBEAT, i, seq) % (
+            HEARTBEAT_JITTER_NS + 1
+        )
+        return int(HEARTBEAT_INTERVAL_NS * factor) + jitter
 
     def _schedule_heartbeat(self, i: int) -> None:
         self.sim.schedule(self._heartbeat_period_ns(i), lambda: self._emit(i))
@@ -312,7 +317,7 @@ class RecoveryManager(Layer):
             if j == i or j in self._declared:
                 continue
             self._hb_sent[i] += 1
-            delay = port.transfer_ns(j, self.config.heartbeat_bytes)
+            delay = port.transfer_ns(j, HEARTBEAT_BYTES)
             self.sim.schedule(
                 delay, lambda j=j, i=i: self._receive_heartbeat(j, i)
             )
@@ -327,9 +332,7 @@ class RecoveryManager(Layer):
         # does, but only ever *observes* it: no suspicion state is touched,
         # so "stragglers are not dead" is preserved.
         for layer in self._heartbeat_layers:
-            layer.on_heartbeat(
-                monitor, peer, gap, self.config.heartbeat_interval_ns
-            )
+            layer.on_heartbeat(monitor, peer, gap)
         self._last_seen[monitor][peer] = now
         if gap > self._max_gap[monitor][peer]:
             self._max_gap[monitor][peer] = gap
@@ -337,13 +340,12 @@ class RecoveryManager(Layer):
         self._suspected[monitor].discard(peer)
 
     def _schedule_sweep(self) -> None:
-        self.sim.schedule(self.config.heartbeat_interval_ns, self._sweep)
+        self.sim.schedule(HEARTBEAT_INTERVAL_NS, self._sweep)
 
     def _sweep(self) -> None:
         if not self._active():
             return
         now = self.sim.now
-        interval = self.config.heartbeat_interval_ns
         monitors = [
             loc.index
             for loc in self.dist.localities
@@ -356,7 +358,7 @@ class RecoveryManager(Layer):
                 gap = now - self._last_seen[m][p]
                 threshold = (
                     self.config.suspicion_after * self._max_gap[m][p]
-                    + interval
+                    + HEARTBEAT_INTERVAL_NS
                 )
                 if gap > threshold:
                     self._suspected[m].add(p)
@@ -396,8 +398,8 @@ class RecoveryManager(Layer):
             chosen.append(fid)
         self._completed_undurable[i] = []
         self._pending_ckpt.update(chosen)
-        payload = len(chosen) * self.config.checkpoint_entry_bytes
-        cost = self.config.checkpoint_base_ns
+        payload = len(chosen) * CHECKPOINT_ENTRY_BYTES
+        cost = CHECKPOINT_BASE_NS
         if chosen:
             cost += self.dist.network.serialization_ns(payload)
         seq = self._ckpt_seq[i]
@@ -543,7 +545,7 @@ class RecoveryManager(Layer):
         # replicated store to their new homes.
         restore_cost = 0
         if restored:
-            payload = len(restored) * self.config.checkpoint_entry_bytes
+            payload = len(restored) * CHECKPOINT_ENTRY_BYTES
             restore_cost = dist.network.serialization_ns(payload)
             if len(survivors) > 1:
                 restore_cost += dist.network.transfer_ns(

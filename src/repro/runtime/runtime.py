@@ -200,13 +200,8 @@ class Runtime:
             self.simulator,
         )
         self.sampler = IntervalSampler(self.registry)
-        #: live admission controller when ``config.overload`` bounds the
-        #: queues; the governor reaches it through ``runtime.admission``
-        self.admission = None
         if config.overload is not None and config.overload.admission is not None:
-            self.admission = self.executor.install_admission(
-                config.overload.admission
-            )
+            self.executor.install_admission(config.overload.admission)
         if config.trace:
             self.executor.enable_tracing()
         #: dynamic checker (``check=True``); also the handle for monitors
@@ -277,28 +272,17 @@ class Runtime:
 
     # -- driving -------------------------------------------------------------------
 
-    def run(self, *, sample_interval_ns: int | None = None) -> RunResult:
+    def run(self) -> RunResult:
         """Drive the simulation until every spawned task has terminated.
 
-        ``sample_interval_ns`` installs periodic counter sampling (the
-        paper's dynamic-measurement mode); samples are collected in
-        ``self.sampler.samples``.
+        For periodic counter samples during the run (the paper's
+        dynamic-measurement mode), drive it through
+        :class:`repro.core.policy.PolicyEngine` instead; its samples are
+        collected in ``self.sampler.samples``.
         """
         if self._ran:
             raise RuntimeError("Runtime instances are single-use; build a new one")
         self._ran = True
-
-        if sample_interval_ns is not None:
-            if sample_interval_ns <= 0:
-                raise ValueError("sample_interval_ns must be positive")
-            self.sampler.start(0)
-
-            def tick() -> None:
-                self.sampler.sample(self.simulator.now)
-                if self.executor.outstanding_tasks > 0:
-                    self.simulator.schedule(sample_interval_ns, tick)
-
-            self.simulator.schedule(sample_interval_ns, tick)
 
         if self.checker is not None:
             # Pre-flight: a dependency cycle among registered futures can

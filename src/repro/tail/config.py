@@ -1,15 +1,18 @@
 """Configuration of the tail-tolerance layer (detector, hedging, speculation).
 
-One frozen dataclass holds every knob of :mod:`repro.tail`.  Passed as
-``DistConfig(tail=TailConfig(...))``; ``None`` (the default) leaves the
-distributed runtime bit-identical to the pre-tail code — no sketches, no
-hedge timers, no spawn hooks, no extra counters.
+One frozen dataclass holds the knobs of :mod:`repro.tail` that a run
+varies.  Passed as ``DistConfig(tail=TailConfig(...))``; ``None`` (the
+default) leaves the distributed runtime bit-identical to the pre-tail code
+— no sketches, no hedge timers, no spawn hooks, no extra counters.
 
-The central calibration is ``degraded_factor``: gray failure is *defined*
-relative to it.  A locality whose observed heartbeat gaps (or a link whose
-ack round-trips) reach that multiple of nominal is flagged ``degraded`` — a
-third state between healthy and crashed that arms hedging and speculation
-but never feeds :mod:`repro.recovery`'s crash quorum.
+The calibration no run varies — the degraded threshold, the sketch
+capacity, the hedging quantile and multiplier, the speculation budget —
+are module constants of :mod:`repro.tail.manager`.  Gray failure is
+*defined* relative to ``DEGRADED_FACTOR``: a locality whose observed
+heartbeat gaps (or a link whose ack round-trips) reach that multiple of
+nominal is flagged ``degraded`` — a third state between healthy and
+crashed that arms hedging and speculation but never feeds
+:mod:`repro.recovery`'s crash quorum.
 """
 
 from __future__ import annotations
@@ -21,52 +24,26 @@ from dataclasses import dataclass
 class TailConfig:
     """Tuning of gray-failure detection, hedged parcels, and speculation."""
 
-    #: a locality (or link) is degraded once its observed response ratio —
-    #: heartbeat gap over nominal period, or ack RTT over the healthy
-    #: baseline — reaches this multiple; also the ongoing-silence threshold
-    degraded_factor: float = 3.0
     #: sketch observations required before a quantile is trusted (below it
     #: the detector stays quiet and no hedge is armed)
     min_samples: int = 4
-    #: ring capacity of each response-time sketch (recent-window quantiles)
-    sketch_capacity: int = 64
     #: cadence of the detector sweep that re-evaluates ``degraded`` flags
     #: and launches speculative clones
     check_interval_ns: int = 100_000
     #: arm a second wire copy of an unacked parcel after the hedging delay
     hedge: bool = True
-    #: the hedging delay derives from this quantile of the link's ack-RTT
-    #: sketch...
-    hedge_quantile: float = 0.9
-    #: ...times this multiplier — deterministic transfer times put the
-    #: quantile at the healthy RTT itself, so the multiplier is what keeps
-    #: healthy links from hedging every send
-    hedge_multiplier: float = 2.0
     #: floor of the hedging delay (never hedge faster than this)
     hedge_min_delay_ns: int = 20_000
     #: clone not-yet-ready tasks of a degraded locality onto a healthy one
     speculate: bool = True
-    #: work-amplification budget: clones may not exceed this fraction of
-    #: the tasks completed so far (floored at one clone)
-    max_speculation_frac: float = 0.5
     #: epoch-fence declared localities so their stale in-flight parcels are
     #: rejected on arrival instead of committing results
     fencing: bool = True
 
     def __post_init__(self) -> None:
-        if self.degraded_factor < 1.0:
-            raise ValueError("degraded_factor must be >= 1 (a degradation)")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
-        if self.sketch_capacity < 2:
-            raise ValueError("sketch_capacity must be >= 2")
         if self.check_interval_ns <= 0:
             raise ValueError("check_interval_ns must be positive")
-        if not 0.0 < self.hedge_quantile <= 1.0:
-            raise ValueError("hedge_quantile must be in (0, 1]")
-        if self.hedge_multiplier < 1.0:
-            raise ValueError("hedge_multiplier must be >= 1")
         if self.hedge_min_delay_ns < 0:
             raise ValueError("hedge_min_delay_ns must be >= 0")
-        if self.max_speculation_frac <= 0.0:
-            raise ValueError("max_speculation_frac must be positive")

@@ -17,7 +17,7 @@ records the observed gap as a ratio of the nominal period into a
 per-locality :class:`repro.tail.sketch.QuantileSketch`; every parcel ack
 (:meth:`on_ack`) records the round-trip into a per-link sketch.  A
 periodic sweep flags a locality ``degraded`` when the median gap ratio
-reaches ``degraded_factor`` — or when its *ongoing* silence does, which
+reaches ``DEGRADED_FACTOR`` — or when its *ongoing* silence does, which
 catches a severe straggler before ``min_samples`` slow heartbeats have
 even arrived.  Degraded is a third state between healthy and crashed: it
 arms mitigation below but never feeds the crash quorum, so the recovery
@@ -31,7 +31,7 @@ delivers, the dedup ledger discards the other, and PF401 still holds.
 
 **3. Speculative re-execution.**  Each sweep clones not-yet-completed
 lineage-recorded tasks homed on a degraded locality onto a healthy
-survivor, budgeted by ``max_speculation_frac`` of the work completed so
+survivor, budgeted by ``MAX_SPECULATION_FRAC`` of the work completed so
 far.  First completion wins deterministically: whichever future resolves
 first satisfies the application future and the loser's task is cancelled
 through the executor (queued losers retire lazily, active losers have
@@ -61,6 +61,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.dist.layer import Layer
 from repro.faults.errors import FencedEpochError
+from repro.recovery.config import HEARTBEAT_INTERVAL_NS
 from repro.runtime.future import Future
 from repro.runtime.task import Task
 from repro.sim.engine import Event
@@ -73,6 +74,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.dist.runtime import DistRuntime
     from repro.recovery.manager import RecoveryManager
     from repro.runtime.sim_executor import SimExecutor
+
+#: a locality (or link) is degraded once its observed response ratio —
+#: heartbeat gap over nominal period, or ack RTT over the healthy baseline —
+#: reaches this multiple; also the ongoing-silence threshold
+DEGRADED_FACTOR = 3.0
+#: ring capacity of each response-time sketch (recent-window quantiles)
+SKETCH_CAPACITY = 64
+#: the hedging delay derives from this quantile of the link's ack-RTT
+#: sketch...
+HEDGE_QUANTILE = 0.9
+#: ...times this multiplier — deterministic transfer times put the quantile
+#: at the healthy RTT itself, so the multiplier is what keeps healthy links
+#: from hedging every send
+HEDGE_MULTIPLIER = 2.0
+#: work-amplification budget: clones may not exceed this fraction of the
+#: tasks completed so far (floored at one clone)
+MAX_SPECULATION_FRAC = 0.5
 
 
 class TailManager(Layer):
@@ -94,8 +112,7 @@ class TailManager(Layer):
         self._n = n
         # -- gray detector state ---------------------------------------------
         #: per-locality sketch of heartbeat gap / nominal period ratios
-        self._gap_ratio = [QuantileSketch(config.sketch_capacity)
-                           for _ in range(n)]
+        self._gap_ratio = [QuantileSketch(SKETCH_CAPACITY) for _ in range(n)]
         #: per-link sketch of parcel ack round-trips (ns)
         self._link_rtt: dict[tuple[int, int], QuantileSketch] = {}
         #: 1 while the detector flags a locality degraded
@@ -150,7 +167,7 @@ class TailManager(Layer):
         """The amplification cap at the current completed-task count."""
         completed = sum(loc.runtime.executor.tasks_completed
                         for loc in self.dist.localities)
-        return max(1, int(self.config.max_speculation_frac * completed))
+        return max(1, int(MAX_SPECULATION_FRAC * completed))
 
     def register_counters(self, registry: "CounterRegistry") -> None:
         """Export the ``/tail{locality#N/total}`` family.
@@ -200,7 +217,7 @@ class TailManager(Layer):
         # System-wide, so registered once (on locality 0's name).
         registry.value(
             "/tail{locality#0/total}/count/speculation-budget@gauge",
-            "speculation budget: max_speculation_frac of completed tasks",
+            "speculation budget: MAX_SPECULATION_FRAC of completed tasks",
             source=lambda: float(self.speculation_budget),
         )
 
@@ -218,17 +235,14 @@ class TailManager(Layer):
                 self._doomed.discard(owner.future_id)
                 executor.cancel_task(task)
 
-    def on_heartbeat(
-        self, monitor: int, peer: int, gap_ns: int, nominal_ns: int
-    ) -> None:
-        if nominal_ns > 0:
-            self._gap_ratio[peer].add(gap_ns / nominal_ns)
+    def on_heartbeat(self, monitor: int, peer: int, gap_ns: int) -> None:
+        self._gap_ratio[peer].add(gap_ns / HEARTBEAT_INTERVAL_NS)
 
     def note_ack_rtt(self, src: int, dst: int, rtt_ns: int) -> None:
         """A parcel from ``src`` to ``dst`` was acked ``rtt_ns`` after send."""
         sketch = self._link_rtt.get((src, dst))
         if sketch is None:
-            sketch = QuantileSketch(self.config.sketch_capacity)
+            sketch = QuantileSketch(SKETCH_CAPACITY)
             self._link_rtt[(src, dst)] = sketch
         sketch.add(float(rtt_ns))
 
@@ -239,18 +253,19 @@ class TailManager(Layer):
 
         ``None`` while the link's ack-RTT sketch holds fewer than
         ``min_samples`` observations — no data, no hedge.  The delay is the
-        configured quantile times ``hedge_multiplier``: transfer times are
-        deterministic, so the quantile sits at the healthy RTT itself and
-        the multiplier is what separates "normal" from "worth insuring".
+        ``HEDGE_QUANTILE`` quantile times ``HEDGE_MULTIPLIER``: transfer
+        times are deterministic, so the quantile sits at the healthy RTT
+        itself and the multiplier is what separates "normal" from "worth
+        insuring".
         """
         if not self.config.hedge:
             return None
         sketch = self._link_rtt.get((src, dst))
         if sketch is None or len(sketch) < self.config.min_samples:
             return None
-        quantile = sketch.quantile(self.config.hedge_quantile)
+        quantile = sketch.quantile(HEDGE_QUANTILE)
         return max(self.config.hedge_min_delay_ns,
-                   int(self.config.hedge_multiplier * quantile))
+                   int(HEDGE_MULTIPLIER * quantile))
 
     def on_transmit(self, port, peer, parcel, attempt, head_delay_ns,
                     on_delivered) -> None:
@@ -365,7 +380,7 @@ class TailManager(Layer):
         self._fenced.add(p)
         mgr = self.recovery
         now = self.sim.now
-        horizon = self.config.degraded_factor * mgr.config.heartbeat_interval_ns
+        horizon = DEGRADED_FACTOR * HEARTBEAT_INTERVAL_NS
         dissenters = [
             m for m in range(self._n)
             if m != p
@@ -409,7 +424,6 @@ class TailManager(Layer):
     def _update_flags(self) -> None:
         mgr = self.recovery
         now = self.sim.now
-        nominal = mgr.config.heartbeat_interval_ns
         monitors = [
             loc.index
             for loc in self.dist.localities
@@ -422,14 +436,15 @@ class TailManager(Layer):
             flagged = False
             sketch = self._gap_ratio[p]
             if (len(sketch) >= self.config.min_samples
-                    and sketch.median() >= self.config.degraded_factor):
+                    and sketch.median() >= DEGRADED_FACTOR):
                 flagged = True
             else:
                 # Ongoing silence: a severe straggler's heartbeats are so
                 # sparse the sketch would need min_samples * factor periods
                 # to fill — the current gap alone is evidence enough.
                 gaps = [now - mgr._last_seen[m][p] for m in monitors if m != p]
-                if gaps and min(gaps) >= self.config.degraded_factor * nominal:
+                silence = DEGRADED_FACTOR * HEARTBEAT_INTERVAL_NS
+                if gaps and min(gaps) >= silence:
                     flagged = True
             if flagged and not self._degraded_flag[p]:
                 self._degraded_events[p] += 1
@@ -562,12 +577,12 @@ class TailManager(Layer):
                 parts.append(
                     f"locality {p} degraded: median heartbeat gap "
                     f"{sketch.median():.1f}x nominal "
-                    f"(threshold {self.config.degraded_factor:.1f}x)"
+                    f"(threshold {DEGRADED_FACTOR:.1f}x)"
                 )
             else:
                 parts.append(
                     f"locality {p} degraded: silent beyond "
-                    f"{self.config.degraded_factor:.1f}x the heartbeat period"
+                    f"{DEGRADED_FACTOR:.1f}x the heartbeat period"
                 )
         parts.extend(self._fence_notes)
         speculated = sum(self._spec_by)

@@ -1,20 +1,20 @@
-"""A bounded response-time sketch with nearest-rank quantiles.
+"""A bounded response-time sketch with rounded-rank quantiles.
 
 The gray-failure detector keeps one :class:`QuantileSketch` per monitored
 locality (heartbeat gap ratios) and per link (ack round-trips).  A plain
 ring buffer is the right structure here: the detector wants *recent*
 behaviour — a locality that was slow ten thousand observations ago but is
 healthy now should read healthy — and the windows are small enough
-(:attr:`repro.tail.config.TailConfig.sketch_capacity`, default 64) that
-sorting a copy on each quantile query is cheaper than maintaining any
-clever summary.  Everything is deterministic: no sampling, no hashing.
+(:data:`repro.tail.manager.SKETCH_CAPACITY`, 64) that sorting a copy on
+each quantile query is cheaper than maintaining any clever summary.
+Everything is deterministic: no sampling, no hashing.
 """
 
 from __future__ import annotations
 
 
 class QuantileSketch:
-    """Last-``capacity`` observations, with nearest-rank quantile queries."""
+    """Last-``capacity`` observations, with rounded-rank quantile queries."""
 
     __slots__ = ("_ring", "_capacity", "_next", "_count")
 
@@ -45,7 +45,13 @@ class QuantileSketch:
         return self._count
 
     def quantile(self, q: float) -> float:
-        """Nearest-rank ``q``-quantile of the current window.
+        """The ``q``-quantile of the current window, by rounded rank.
+
+        Over the ``n`` sorted observations this returns the one of rank
+        ``int(q * n + 0.5)`` — ``q * n`` rounded half up, clamped to
+        ``1..n`` — not the nearest rank ``ceil(q * n)`` of
+        :func:`repro.util.stats.quantile`: ``q = 0.9`` over ``1..7`` gives
+        6, not 7.
 
         Raises on an empty sketch — callers gate on ``len(sketch)`` against
         their ``min_samples`` threshold before trusting any quantile.

@@ -314,7 +314,7 @@ def _speculation_violation(result: "DistRunResult") -> str | None:
             "speculation conservation violated: "
             f"{result.tasks_speculated} task(s) speculated exceeds the "
             f"work-amplification budget of {result.speculation_budget} "
-            "(max_speculation_frac of completed work)"
+            "(MAX_SPECULATION_FRAC of completed work)"
         )
     if result.tasks_speculated == 0 and result.originals_cancelled:
         return (

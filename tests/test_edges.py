@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.policy import PolicyEngine
 from repro.counters.interval import IntervalSampler
 from repro.counters.registry import CounterRegistry
 from repro.experiments import cli
@@ -43,7 +44,7 @@ class TestUptimeCounter:
         rt = Runtime(RuntimeConfig(num_cores=2, seed=1))
         for _ in range(16):
             rt.spawn(Task(lambda: None, work=FixedWork(40_000)))
-        rt.run(sample_interval_ns=50_000)
+        PolicyEngine(rt, interval_ns=50_000).run()
         # The final tick can fire after the run finished (uptime freezes at
         # finish_ns), so it is exempt.
         for s in rt.sampler.samples[:-1]:

@@ -101,6 +101,7 @@ class TestCrossWorkloadConsistency:
         """Interval deltas of monotonic counters must sum to the final
         values (no events lost between samples)."""
         from repro.apps.stencil1d import StencilConfig, build_stencil_graph
+        from repro.core.policy import PolicyEngine
         from repro.runtime.runtime import Runtime
 
         rt = Runtime(RuntimeConfig(num_cores=4, seed=5))
@@ -108,7 +109,7 @@ class TestCrossWorkloadConsistency:
             rt, StencilConfig(total_points=1 << 16, partition_points=1_024,
                               time_steps=4)
         )
-        result = rt.run(sample_interval_ns=20_000)
+        result = PolicyEngine(rt, interval_ns=20_000).run()
         sampled_tasks = sum(
             s.get("/threads/count/cumulative") for s in rt.sampler.samples
         )

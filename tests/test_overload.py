@@ -33,7 +33,7 @@ from repro.overload.config import CreditParams, OverloadConfig
 from repro.overload.errors import CircuitOpenError, TaskShedError
 from repro.overload.gate import SendGate
 from repro.overload.governor import (
-    GovernorParams,
+    MAX_GRAIN_NS,
     GovernorSignals,
     OverloadGovernor,
 )
@@ -704,11 +704,10 @@ class TestGovernor:
         assert gov.grain_ns == 20_000
 
     def test_coarsening_saturates_at_max_grain(self):
-        params = GovernorParams(max_grain_ns=16_000)
-        gov = OverloadGovernor(params, grain_ns=16_000)
+        gov = OverloadGovernor(grain_ns=MAX_GRAIN_NS)
         action = gov.observe(_signals(overhead_ratio=0.9, shed_fraction=0.5))
         assert action.kind == "hold"
-        assert gov.grain_ns == 16_000
+        assert gov.grain_ns == MAX_GRAIN_NS
 
     def test_refines_when_starved_at_coarse_grain(self):
         gov = OverloadGovernor(grain_ns=100_000)
@@ -727,40 +726,6 @@ class TestGovernor:
     def test_initial_grain_validated(self):
         with pytest.raises(ValueError, match="outside"):
             OverloadGovernor(grain_ns=1)
-
-    def test_policy_engine_exports_the_action_counter(self):
-        from repro.core.policy import PolicyEngine
-
-        rt = Runtime(platform="haswell", num_cores=2)
-        for _ in range(8):
-            rt.async_(lambda: 1, work=FixedWork(20_000))
-        engine = PolicyEngine(rt, interval_ns=50_000)
-        governor = OverloadGovernor(grain_ns=4_000)
-        engine.add_policy(governor)
-        result = engine.run()
-        assert (
-            "/overload{locality#0/total}/count/governor-actions"
-            in result.counters.values
-        )
-        assert result.counters.get("/overload/count/governor-actions") == len(
-            governor.actions
-        )
-
-    def test_tighten_admission_scales_the_live_bound(self):
-        class Ctx:
-            num_workers = 8
-
-            class runtime:
-                admission = AdmissionControl(
-                    AdmissionParams(max_depth=64, policy="shed"),
-                    now_fn=lambda: 0,
-                )
-
-        OverloadGovernor._tighten_admission(Ctx, 4)
-        assert Ctx.runtime.admission.max_depth == 32
-        # The floor is a quarter of the configured bound.
-        OverloadGovernor._tighten_admission(Ctx, 1)
-        assert Ctx.runtime.admission.max_depth == 16
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +747,7 @@ class TestWatchdogDiagnosis:
                 seed=1, doom_every=1, crashes=(CrashAt(0, 500_000),)
             ),
             retry=RetryParams(max_retries=10),
+            watchdog_ns=2_000_000,
         )
         # A slow producer on locality 0 dies with the crash; its consumer's
         # proxy on locality 1 can never become ready.
@@ -798,7 +764,7 @@ class TestWatchdogDiagnosis:
             lambda x: x * x, [live_src], locality=0, work=FixedWork(1_000)
         )
         with pytest.raises(WatchdogTimeout) as info:
-            dist.run(watchdog_ns=2_000_000)
+            dist.run()
         message = str(info.value)
         assert "awaiting ack" in message
         assert "depend on crashed locality 0" in message

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.policy import PolicyEngine
 from repro.runtime.runtime import Runtime, RuntimeConfig, RunResult
 from repro.runtime.work import FixedWork
 from repro.schedulers.variants import StaticScheduler
@@ -98,7 +99,7 @@ class TestRun:
         rt = Runtime(num_cores=2)
         for _ in range(32):
             rt.async_(lambda: None, work=FixedWork(50_000))
-        rt.run(sample_interval_ns=20_000)
+        PolicyEngine(rt, interval_ns=20_000).run()
         assert len(rt.sampler.samples) >= 2
         total_tasks = sum(
             s.get("/threads/count/cumulative") for s in rt.sampler.samples
@@ -108,7 +109,7 @@ class TestRun:
     def test_invalid_sample_interval(self):
         rt = Runtime(num_cores=1)
         with pytest.raises(ValueError):
-            rt.run(sample_interval_ns=0)
+            PolicyEngine(rt, interval_ns=0)
 
     def test_timer_counters_flag_changes_time(self):
         def total(flag):

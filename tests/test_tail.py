@@ -128,6 +128,12 @@ class TestQuantileSketch:
         assert s.quantile(1.0) == 40.0
         assert s.quantile(0.5) == 20.0
         assert s.median() == 20.0
+        # The rank is q * n rounded half up, not ceil(q * n): 0.9 over
+        # seven observations is rank 6.
+        seven = QuantileSketch(10)
+        for v in range(1, 8):
+            seven.add(float(v))
+        assert seven.quantile(0.9) == 6.0
 
     def test_single_sample(self):
         s = QuantileSketch(4)
@@ -155,15 +161,9 @@ class TestTailConfigValidation:
     @pytest.mark.parametrize(
         ("kwargs", "match"),
         [
-            ({"degraded_factor": 0.5}, "degraded_factor"),
             ({"min_samples": 0}, "min_samples"),
-            ({"sketch_capacity": 1}, "sketch_capacity"),
             ({"check_interval_ns": 0}, "check_interval_ns"),
-            ({"hedge_quantile": 0.0}, "hedge_quantile"),
-            ({"hedge_quantile": 1.5}, "hedge_quantile"),
-            ({"hedge_multiplier": 0.5}, "hedge_multiplier"),
             ({"hedge_min_delay_ns": -1}, "hedge_min_delay_ns"),
-            ({"max_speculation_frac": 0.0}, "max_speculation_frac"),
         ],
     )
     def test_rejects(self, kwargs, match):
@@ -218,8 +218,6 @@ class TestTailManagerUnits:
         tm = self._manager(
             TailConfig(
                 min_samples=4,
-                hedge_quantile=0.9,
-                hedge_multiplier=2.0,
                 hedge_min_delay_ns=0,
             )
         )

@@ -34,12 +34,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TunerConfig(min_grain=100, max_grain=10)
 
-    def test_bad_step(self):
-        with pytest.raises(ValueError):
-            TunerConfig(min_grain=1, max_grain=10, step=1.0)
-        with pytest.raises(ValueError):
-            TunerConfig(min_grain=1, max_grain=10, step_shrink=1.0)
-
     def test_bad_epochs(self):
         with pytest.raises(ValueError):
             TunerConfig(min_grain=1, max_grain=10, max_epochs=0)
