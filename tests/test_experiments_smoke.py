@@ -28,6 +28,7 @@ class TestTable1:
         assert exp.shape_checks(fig) == []
         assert "Table I" in fig.notes[0]
         assert "28" in fig.notes[0]  # Haswell cores
+        assert_golden(fig, "table1")
 
 
 class TestFigureRunnersSmoke:
@@ -111,6 +112,7 @@ class TestFigureRunnersSmoke:
             "min-time-oracle", "idle-rate<=30%", "min-pending-accesses",
         ]
         assert outcomes[0].slowdown == 1.0
+        assert_golden(fig, "selection")
 
 
 class TestCli:
@@ -383,6 +385,7 @@ class TestExtensionExperimentsSmoke:
         (panel,) = fig.panels
         for series in fig.panels[panel]:
             assert all(v >= 0.0 for _, v in series.points)
+        assert_golden(fig, "cov")
 
     @pytest.mark.slow
     def test_wavefront_runs_and_checks(self):

@@ -1,5 +1,8 @@
 """Unit tests for execution tracing and timeline analysis."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.stencil1d import StencilConfig, build_stencil_graph
@@ -82,6 +85,46 @@ class TestTraceRecording:
         trace = ExecutionTrace(num_workers=1)
         trace.record_phase(PhaseRecord(1, "a", 0, 1, 0, 10, 30, 100, "local"))
         assert any("mgmt gap" in p for p in trace.validate())
+
+
+def trace_digest(trace: ExecutionTrace) -> str:
+    """sha256 over the spawn, steal and phase records, in list order, and
+    ``finish_ns``.  Task ids come from a process-wide counter, so the
+    digest renumbers them by first appearance."""
+    ids: dict[int, int] = {}
+
+    def renumber(task_id):
+        return None if task_id is None else ids.setdefault(task_id, len(ids))
+
+    lines = [
+        repr(replace(s, parent_task_id=renumber(s.parent_task_id),
+                     child_task_id=renumber(s.child_task_id)))
+        for s in trace.spawns
+    ]
+    lines += [repr(s) for s in trace.steals]
+    lines += [repr(replace(p, task_id=renumber(p.task_id)))
+              for p in trace.phases]
+    lines.append(f"finish_ns {trace.finish_ns}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestTracePin:
+    """The exact records of two small traced stencil runs."""
+
+    @pytest.mark.parametrize("scheduler, cores, digest", [
+        ("priority-local", 28,
+         "0d6aa3ad80ca7835e0ba3c54c9a5116bab585fe75604869f8447c44388f26222"),
+        ("priority-local-lifo", 8,
+         "8a144852d5543e6253803e6dd181884ece58517119f2fb8889f2de789b15d1f9"),
+    ])
+    def test_records_pinned(self, scheduler, cores, digest):
+        rt = Runtime(RuntimeConfig(platform="haswell", num_cores=cores,
+                                   scheduler=scheduler, seed=1, trace=True))
+        build_stencil_graph(rt, StencilConfig(
+            total_points=100_000, partition_points=2_000, time_steps=5))
+        rt.run()
+        assert rt.trace.steals
+        assert trace_digest(rt.trace) == digest
 
 
 class TestUtilization:
