@@ -7,8 +7,8 @@ each task.  The same spec lowers onto every runtime in the repo; this
 example:
 
 1. runs two patterns (``trivial`` and ``stencil_1d``) on the simulated
-   single-node :class:`repro.runtime.Runtime` and compares their idle-rate
-   at the same grain — dependence structure alone costs efficiency;
+   single-node :class:`repro.runtime.runtime.Runtime` and compares their
+   idle-rate at the same grain — dependence structure alone costs efficiency;
 2. measures METG(50%) for both: the minimum task grain at which the
    runtime still spends half the core-time budget inside task bodies
    (efficiency is literally ``1 - idle-rate``, the paper's Eq. 1);

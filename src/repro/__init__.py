@@ -39,9 +39,6 @@ from repro.runtime import (
     Future,
     NoWork,
     Priority,
-    RunResult,
-    Runtime,
-    RuntimeConfig,
     StencilWork,
     Task,
     TaskState,
@@ -51,6 +48,7 @@ from repro.runtime import (
     when_all,
     when_any,
 )
+from repro.runtime.runtime import Runtime, RuntimeConfig, RunResult
 from repro.runtime.thread_executor import ThreadRuntime
 from repro.sim import (
     HASWELL,

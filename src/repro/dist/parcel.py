@@ -67,7 +67,7 @@ registry; catalogued in docs/distributed.md and docs/resilience.md):
 - ``/parcels{locality#N/total}/count/unacked-high-water@gauge`` — peak
   distinct unacked parcels to any one destination (retry only)
 
-Opt-in layers (:mod:`repro.dist.layer`) hook into the protocol steps
+Opt-in layers (:mod:`repro.layer`) hook into the protocol steps
 through the port's ``layers`` tuple.  A copy a layer holds back (the
 credit/breaker gate) waits in a per-destination FIFO lane, with no wire
 copy, until :meth:`Parcelport._pump` finds the gate open again.
@@ -87,10 +87,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.counters.registry import CounterRegistry
-from repro.dist.layer import Layer, implementers
 from repro.dist.network import NetworkModel
 from repro.faults.plan import FaultInjector, stream_unit
 from repro.faults.transport import RetryParams
+from repro.layer import Layer, implementers
 from repro.sim.engine import Event, Simulator
 
 #: role tag for the retransmit-jitter stream (see repro.faults.plan)
@@ -149,7 +149,7 @@ class Parcelport:
     across tests).  A standalone port builds its own counter.
 
     ``layers`` are the opt-in layers hooked into this port's protocol
-    steps (:mod:`repro.dist.layer`); assigning the attribute re-derives
+    steps (:mod:`repro.layer`); assigning the attribute re-derives
     which layers each hook dispatches to.
     """
 

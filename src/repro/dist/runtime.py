@@ -1,8 +1,8 @@
 """DistRuntime: N per-locality runtimes composed over one virtual clock.
 
-The single-node :class:`repro.runtime.Runtime` models one HPX *locality*.
-This facade composes several of them — each with its own scheduler, worker
-pool, cost model and counter registry — over one shared
+The single-node :class:`repro.runtime.runtime.Runtime` models one HPX
+*locality*.  This facade composes several of them — each with its own
+scheduler, worker pool, cost model and counter registry — over one shared
 :class:`repro.sim.engine.Simulator`, and adds the two services that make a
 multi-locality HPX run different from N independent ones:
 
@@ -28,8 +28,9 @@ aggregate across the system (``CounterRegistry.total`` / ``per_locality``).
 :class:`DistRunResult` reads every number it reports from those counters.
 
 Opt-in layers — crash recovery, tail tolerance, the credit/breaker gate —
-hook in through :mod:`repro.dist.layer`: the runtime and each parcelport
-hold a ``layers`` tuple and call a hook only on the layers overriding it.
+hook in through :mod:`repro.layer`: the runtime, each parcelport and each
+executor hold a ``layers`` tuple and call a hook only on the layers
+overriding it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from typing import Any, Callable, Sequence
 
 from repro.counters.registry import CounterRegistry
 from repro.dist.agas import AgasCache, AgasParams, AgasService, GlobalId
-from repro.dist.layer import Layer, implementers
 from repro.dist.network import NetworkModel
 from repro.dist.parcel import Parcel, Parcelport
 from repro.dist.result import DistRunResult
@@ -52,8 +52,11 @@ from repro.faults.errors import (
 )
 from repro.faults.plan import FaultInjector, FaultPlan
 from repro.faults.transport import RetryParams
+from repro.layer import Layer, implementers
 from repro.overload.config import OverloadConfig
+from repro.overload.gate import SendGate
 from repro.recovery.config import RecoveryConfig
+from repro.recovery.manager import RecoveryManager
 from repro.runtime.future import Future
 from repro.runtime.runtime import Runtime, RuntimeConfig
 from repro.runtime.sim_executor import DeadlockError
@@ -63,6 +66,7 @@ from repro.schedulers.base import SchedulingPolicy
 from repro.sim.engine import Simulator
 from repro.sim.platforms import PlatformSpec, get_platform
 from repro.tail.config import TailConfig
+from repro.tail.manager import TailManager
 
 
 @dataclass(frozen=True)
@@ -339,13 +343,9 @@ class DistRuntime:
         self._result: DistRunResult | None = None
 
     def _build_layers(self) -> None:
-        """Build the opt-in layers and register their counters; with every
-        layer off ``layers`` is empty and no hook ever runs."""
-        # Imported here: the layers import this package's layer protocol.
-        from repro.overload.gate import SendGate
-        from repro.recovery.manager import RecoveryManager
-        from repro.tail.manager import TailManager
-
+        """Build the opt-in layers, register their counters and hand them
+        to every executor and parcelport; with every layer off ``layers`` is
+        empty and no hook ever runs."""
         config = self.config
         layers: list[Layer] = []
         self.recovery_manager: RecoveryManager | None = None
@@ -367,6 +367,7 @@ class DistRuntime:
             overload.credits is not None or overload.breaker is not None
         )
         for loc in self.localities:
+            loc.runtime.executor.layers += self.layers
             port = loc.parcelport
             if gated:
                 gate = SendGate(

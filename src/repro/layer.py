@@ -1,13 +1,14 @@
-"""The hook protocol of the distributed runtime's opt-in layers.
+"""The hook protocol of the opt-in layers.
 
-Crash recovery (:mod:`repro.recovery`), gray-failure tolerance
-(:mod:`repro.tail`) and the credit/breaker gate (:mod:`repro.overload.gate`)
-subclass :class:`Layer` and override only the hooks they need.
-:class:`repro.dist.DistRuntime` and :class:`repro.dist.parcel.Parcelport`
-hold a ``layers`` tuple and call each hook only on the layers overriding it
+Crash recovery, gray-failure tolerance, the credit/breaker gate and the
+execution trace subclass :class:`Layer` and override only the hooks they
+need.  ``DistRuntime``, ``Parcelport`` and ``SimExecutor`` hold a
+``layers`` tuple and call each hook only on the layers overriding it
 (:func:`implementers`), in tuple order.  With no layer no hook runs, so
 "layer off is bit-identical" holds by construction.  Every default does
-nothing; a port hook gets the sending port of the parcel concerned.
+nothing; a port hook gets the sending port of the parcel concerned, an
+executor hook the executor.  No ``repro`` import runs here, so any package
+may import this module without closing an import cycle.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.counters.registry import CounterRegistry
     from repro.dist.parcel import Parcel, Parcelport
     from repro.runtime.future import Future
+    from repro.runtime.sim_executor import SimExecutor
+    from repro.runtime.task import Task
+    from repro.schedulers.base import WorkSource
 
 
 class Layer:
@@ -90,6 +94,25 @@ class Layer:
 
     def on_halt(self, port: "Parcelport") -> None:
         """``port`` fail-stopped."""
+
+    # -- SimExecutor hooks ------------------------------------------------------
+
+    def on_stage(self, executor: "SimExecutor", task: "Task",
+                 parent: "Task | None") -> None:
+        """``task`` was staged; ``parent`` is the task in whose completion
+        context it was spawned, None for a spawn from outside any task."""
+
+    def on_steal(self, executor: "SimExecutor", thief: int,
+                 source: "WorkSource") -> None:
+        """Worker ``thief`` took a task from another worker's queues."""
+
+    def on_phase(self, executor: "SimExecutor", task: "Task", worker: int,
+                 dispatch_ns: int, mgmt_ns: int, source: "WorkSource") -> None:
+        """A phase of ``task`` ended now on ``worker``: dispatched at
+        ``dispatch_ns``, it paid ``mgmt_ns`` of management first."""
+
+    def on_finish(self, executor: "SimExecutor") -> None:
+        """The run ended; ``executor.finish_ns`` is final."""
 
 
 def implementers(layers: Sequence[Layer], hook: str) -> tuple[Layer, ...]:

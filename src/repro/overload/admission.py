@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.overload.errors import TaskShedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.counters.registry import CounterRegistry
     from repro.runtime.task import Task
     from repro.schedulers.queues import DualQueue
 
@@ -130,6 +131,37 @@ class AdmissionControl:
     def deferred_tasks(self) -> int:
         """Tasks currently parked in deferred lanes (spill depth gauge)."""
         return sum(len(q._deferred) for q in self._queues)
+
+    def register_counters(self, registry: "CounterRegistry") -> None:
+        """Register the ``/overload`` counter family."""
+        stats = self.stats
+        registry.derived("/overload/count/offered",
+                         lambda: float(stats.offered),
+                         "tasks presented to admission control")
+        registry.derived("/overload/count/admitted",
+                         lambda: float(stats.admitted),
+                         "tasks admitted to the hot queues")
+        registry.derived("/overload/count/shed",
+                         lambda: float(stats.shed),
+                         "tasks rejected under the shed policy")
+        registry.derived("/overload/count/blocked",
+                         lambda: float(stats.blocked),
+                         "tasks deferred by backpressure (block policy)")
+        registry.derived("/overload/count/spilled",
+                         lambda: float(stats.spilled),
+                         "tasks moved to the cold queue (spill policy)")
+        registry.derived("/overload/count/readmitted",
+                         lambda: float(stats.readmitted),
+                         "deferred tasks re-admitted after depth recovered")
+        registry.derived("/overload/time/backpressure-blocked",
+                         lambda: float(stats.backpressure_wait_ns),
+                         "total simulated producer wait under block (ns)")
+        registry.value("/overload/count/spill-depth@gauge",
+                       "tasks currently parked in deferred lanes",
+                       source=lambda: float(self.deferred_tasks))
+        registry.value("/overload/count/peak-queue-depth@gauge",
+                       "high-water staged+pending depth of any one queue",
+                       source=lambda: float(stats.peak_depth))
 
     # -- the gate -------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """The send gate: credit flow control and circuit breakers on one port.
 
-A :class:`SendGate` is the :class:`repro.dist.layer.Layer` that decides,
+A :class:`SendGate` is the :class:`repro.layer.Layer` that decides,
 for every wire copy of one port, dispatch or park (docs/overload.md):
 
 - **breaker** — a per-destination :class:`CircuitBreaker` parks every copy
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.dist.layer import Layer
+from repro.layer import Layer
 from repro.overload.breaker import BreakerParams, CircuitBreaker
 from repro.overload.config import CreditParams
 from repro.overload.errors import CircuitOpenError

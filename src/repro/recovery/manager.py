@@ -5,7 +5,7 @@ diagnosis ("these dependency cones can never become ready") into a survived
 event.  One :class:`RecoveryManager` per :class:`repro.dist.DistRuntime`
 (created only when ``DistConfig.crash_recovery`` is set — ``None`` leaves
 the runtime bit-identical to the pre-recovery code) is a
-:class:`repro.dist.layer.Layer` fed every future's lineage by ``on_spawn``.
+:class:`repro.layer.Layer` fed every future's lineage by ``on_spawn``.
 It runs three machines on the shared virtual clock:
 
 **1. Heartbeat failure detection.**  Every locality emits a heartbeat to
@@ -58,9 +58,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.dist.layer import Layer, implementers
 from repro.faults.errors import UnrecoverableCrashError
 from repro.faults.plan import ROLE_HEARTBEAT, stream_u64
+from repro.layer import Layer, implementers
 from repro.recovery.config import (
     CHECKPOINT_BASE_NS,
     CHECKPOINT_ENTRY_BYTES,

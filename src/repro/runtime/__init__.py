@@ -18,6 +18,10 @@ The package mirrors the HPX constructs the paper relies on:
   because the GIL distorts fine-grained timings);
 - :mod:`repro.runtime.runtime` — the facade tying platform, scheduler,
   counters and executor together.
+
+This file does not import the facade (it imports the schedulers, which
+import :mod:`repro.runtime.task` and so this file): take ``Runtime``,
+``RuntimeConfig`` and ``RunResult`` from the facade or from :mod:`repro`.
 """
 
 from repro.runtime.algorithms import (
@@ -35,7 +39,6 @@ from repro.runtime.future import (
     when_all,
     when_any,
 )
-from repro.runtime.runtime import Runtime, RuntimeConfig, RunResult
 from repro.runtime.task import Priority, Task, TaskState
 from repro.runtime.work import FixedWork, NoWork, StencilWork, WorkDescriptor
 
@@ -51,9 +54,6 @@ __all__ = [
     "then",
     "when_all",
     "when_any",
-    "Runtime",
-    "RuntimeConfig",
-    "RunResult",
     "Priority",
     "Task",
     "TaskState",

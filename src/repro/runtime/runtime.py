@@ -16,6 +16,7 @@ from typing import Any, Callable, Sequence
 from repro.analysis.dynamic import CheckError, RuntimeChecker
 from repro.counters.interval import IntervalSampler
 from repro.counters.registry import CounterRegistry, CounterSnapshot
+from repro.overload.admission import AdmissionControl
 from repro.overload.config import OverloadConfig
 from repro.runtime.future import Future, dataflow as _dataflow
 from repro.runtime.sim_executor import DeadlockError, SimExecutor
@@ -27,6 +28,7 @@ from repro.sim.costmodel import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.machine import Machine
 from repro.sim.platforms import PlatformSpec, get_platform
+from repro.sim.trace import ExecutionTrace
 
 
 @dataclass(frozen=True)
@@ -201,9 +203,19 @@ class Runtime:
         )
         self.sampler = IntervalSampler(self.registry)
         if config.overload is not None and config.overload.admission is not None:
-            self.executor.install_admission(config.overload.admission)
+            control = AdmissionControl(
+                config.overload.admission,
+                now_fn=lambda: self.simulator.now,
+                on_shed=self.executor.on_task_shed,
+            )
+            for q in self.policy.queues():
+                control.attach(q)
+            control.register_counters(self.registry)
+        #: the run's event record (``config.trace``), or None
+        self.trace: ExecutionTrace | None = None
         if config.trace:
-            self.executor.enable_tracing()
+            self.trace = ExecutionTrace(num_workers=len(self.executor.workers))
+            self.executor.layers = (self.trace,)
         #: dynamic checker (``check=True``); also the handle for monitors
         self.checker: RuntimeChecker | None = (
             RuntimeChecker(f"Runtime[{self.platform.name}]")
@@ -211,11 +223,6 @@ class Runtime:
             else None
         )
         self._ran = False
-
-    @property
-    def trace(self):
-        """The run's :class:`repro.sim.trace.ExecutionTrace`, or None."""
-        return self.executor.trace
 
     # -- work submission ----------------------------------------------------------
 

@@ -28,10 +28,10 @@ rise (Sec. IV-A).
 from __future__ import annotations
 
 import inspect
-
-from typing import TYPE_CHECKING
+from typing import Sequence
 
 from repro.counters.registry import CounterRegistry
+from repro.layer import Layer, implementers
 from repro.runtime.future import Future
 from repro.runtime.task import Task, TaskState
 from repro.runtime.work import FixedWork, NoWork, StencilWork
@@ -39,22 +39,6 @@ from repro.schedulers.base import FoundWork, SchedulingPolicy, WorkSource
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import Event, Simulator
 from repro.sim.machine import Machine
-from repro.sim.trace import ExecutionTrace, PhaseRecord, SpawnRecord, StealRecord
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.overload.admission import AdmissionControl, AdmissionParams
-
-#: WorkSource -> provenance label recorded in traces
-_SOURCE_LABELS = {
-    WorkSource.LOCAL_PENDING: "local",
-    WorkSource.LOCAL_STAGED: "local",
-    WorkSource.NUMA_STAGED: "numa",
-    WorkSource.NUMA_PENDING: "numa",
-    WorkSource.REMOTE_STAGED: "remote",
-    WorkSource.REMOTE_PENDING: "remote",
-    WorkSource.HIGH_PRIORITY: "high-priority",
-    WorkSource.LOW_PRIORITY: "low-priority",
-}
 
 
 class DeadlockError(RuntimeError):
@@ -95,6 +79,8 @@ class SimExecutor:
 
     Implements the ``Spawner`` protocol used by :func:`repro.runtime.future.
     dataflow`, so application code is identical under both executors.
+    Observers are ``layers`` (:mod:`repro.layer`); assigning the attribute
+    re-derives which layers each hook dispatches to.
     """
 
     def __init__(
@@ -118,13 +104,11 @@ class SimExecutor:
         self._total_spawned = 0
         self._current_worker: int | None = None
         #: the task whose body (or completion callbacks) is running right
-        #: now; spawn parentage in traces comes from here
+        #: now; the parent ``on_stage`` reports
         self._current_task: Task | None = None
         self._spawn_rr = 0
         #: workers currently in idle backoff, keyed by index (wake fast path)
         self._sleepers: dict[int, _SimWorker] = {}
-        #: optional event record; see :meth:`enable_tracing`
-        self.trace: ExecutionTrace | None = None
         #: workers with index >= this limit park instead of polling
         #: (Porterfield-style concurrency throttling, paper Sec. V/VI)
         self._active_limit = n
@@ -136,11 +120,7 @@ class SimExecutor:
         #: pre-run spawns do not schedule search events early (which would
         #: perturb the deterministic event order of existing runs)
         self._started = False
-        #: admission controller, installed by :meth:`install_admission`
-        self.admission: "AdmissionControl | None" = None
-        #: observer called with every spawned task (after staging); the tail
-        #: layer uses it to map futures to tasks for loser cancellation
-        self.on_spawn = None
+        self.layers = ()
         #: completion events of active phases, keyed by task id, so an
         #: active task can be cancelled before its phase elapses
         self._inflight: dict[int, tuple[Event, _SimWorker]] = {}
@@ -223,12 +203,17 @@ class SimExecutor:
                       source=(lambda i: lambda: float(
                           self.policy.worker_queue_depth(i)))(w.index))
 
-    def enable_tracing(self) -> ExecutionTrace:
-        """Attach (and return) an :class:`ExecutionTrace` recording every
-        phase and steal of the run.  Call before :meth:`run`."""
-        if self.trace is None:
-            self.trace = ExecutionTrace(num_workers=len(self.workers))
-        return self.trace
+    @property
+    def layers(self) -> tuple[Layer, ...]:
+        return self._layers
+
+    @layers.setter
+    def layers(self, layers: Sequence[Layer]) -> None:
+        self._layers = tuple(layers)
+        self._stage_layers = implementers(self._layers, "on_stage")
+        self._steal_layers = implementers(self._layers, "on_steal")
+        self._phase_layers = implementers(self._layers, "on_phase")
+        self._finish_layers = implementers(self._layers, "on_finish")
 
     # -- spawning -----------------------------------------------------------------
 
@@ -251,19 +236,9 @@ class SimExecutor:
         task.created_ns = self.sim.now
         self._outstanding += 1
         self._total_spawned += 1
-        if self.trace is not None:
-            parent = self._current_task
-            self.trace.record_spawn(
-                SpawnRecord(
-                    parent_task_id=parent.task_id if parent is not None else None,
-                    child_task_id=task.task_id,
-                    child_name=task.name,
-                    time_ns=self.sim.now,
-                )
-            )
         self.policy.enqueue_staged(task, worker)
-        if self.on_spawn is not None:
-            self.on_spawn(task)
+        for layer in self._stage_layers:
+            layer.on_stage(self, task, self._current_task)
         self._wake_idle_workers()
         self._maybe_restart_workers()
 
@@ -400,15 +375,8 @@ class SimExecutor:
             self._c_stolen.increment()
             if source.was_staged:
                 self._c_stolen_staged.increment()
-            if self.trace is not None:
-                self.trace.record_steal(
-                    StealRecord(
-                        thief=worker.index,
-                        time_ns=self.sim.now,
-                        same_domain=source.same_domain,
-                        staged=source.was_staged,
-                    )
-                )
+            for layer in self._steal_layers:
+                layer.on_steal(self, worker.index, source)
 
         task.set_state(TaskState.ACTIVE)
         task.begin_phase()
@@ -460,20 +428,9 @@ class SimExecutor:
             # Fail-stop at task granularity: the phase's side-effects are
             # lost with the machine; nothing downstream is notified.
             return
-        if self.trace is not None:
-            self.trace.record_phase(
-                PhaseRecord(
-                    task_id=task.task_id,
-                    task_name=task.name,
-                    worker=worker.index,
-                    phase=task.phases,
-                    dispatch_ns=dispatch_ns,
-                    mgmt_ns=mgmt_ns,
-                    start_ns=dispatch_ns + mgmt_ns,
-                    end_ns=self.sim.now,
-                    source=_SOURCE_LABELS[source],
-                )
-            )
+        for layer in self._phase_layers:
+            layer.on_phase(self, task, worker.index, dispatch_ns, mgmt_ns,
+                           source)
         task.exec_ns += duration_ns
         task.overhead_ns += mgmt_ns
         worker.exec_ns += duration_ns
@@ -626,58 +583,7 @@ class SimExecutor:
 
     # -- admission control (repro.overload) ----------------------------------------
 
-    def install_admission(self, params: "AdmissionParams") -> "AdmissionControl":
-        """Bound the policy's queues per ``params``; returns the controller.
-
-        Attaches an :class:`repro.overload.admission.AdmissionControl` to
-        every queue the policy owns and registers the ``/overload``
-        counter family.  Call once, before :meth:`run`; runtimes built
-        without an overload config never reach this method, so the
-        default counter set (and event order) is untouched.
-        """
-        from repro.overload.admission import AdmissionControl
-
-        if self.admission is not None:
-            raise RuntimeError("admission control already installed")
-        control = AdmissionControl(
-            params, now_fn=lambda: self.sim.now, on_shed=self._on_task_shed
-        )
-        for q in self.policy.queues():
-            control.attach(q)
-        self.admission = control
-
-        stats = control.stats
-        reg = self.registry
-        reg.derived("/overload/count/offered",
-                    lambda: float(stats.offered),
-                    "tasks presented to admission control")
-        reg.derived("/overload/count/admitted",
-                    lambda: float(stats.admitted),
-                    "tasks admitted to the hot queues")
-        reg.derived("/overload/count/shed",
-                    lambda: float(stats.shed),
-                    "tasks rejected under the shed policy")
-        reg.derived("/overload/count/blocked",
-                    lambda: float(stats.blocked),
-                    "tasks deferred by backpressure (block policy)")
-        reg.derived("/overload/count/spilled",
-                    lambda: float(stats.spilled),
-                    "tasks moved to the cold queue (spill policy)")
-        reg.derived("/overload/count/readmitted",
-                    lambda: float(stats.readmitted),
-                    "deferred tasks re-admitted after depth recovered")
-        reg.derived("/overload/time/backpressure-blocked",
-                    lambda: float(stats.backpressure_wait_ns),
-                    "total simulated producer wait under block (ns)")
-        reg.value("/overload/count/spill-depth@gauge",
-                  "tasks currently parked in deferred lanes",
-                  source=lambda: float(control.deferred_tasks))
-        reg.value("/overload/count/peak-queue-depth@gauge",
-                  "high-water staged+pending depth of any one queue",
-                  source=lambda: float(stats.peak_depth))
-        return control
-
-    def _on_task_shed(self, task: Task, exc: BaseException) -> None:
+    def on_task_shed(self, task: Task, exc: BaseException) -> None:
         """Admission control rejected ``task``: it will never run.
 
         The paired future (if any) fails with the typed error first — a
@@ -728,8 +634,8 @@ class SimExecutor:
         if self.finish_ns is None:
             # No tasks were spawned at all; completion is instantaneous.
             self.finish_ns = self.sim.now
-        if self.trace is not None:
-            self.trace.finish_ns = self.finish_ns
+        for layer in self._finish_layers:
+            layer.on_finish(self)
         return self.finish_ns
 
     # -- introspection -----------------------------------------------------------------

@@ -5,20 +5,36 @@ misbehaves needs the underlying schedule.  The tracer records, in virtual
 time:
 
 - per task-phase: worker, task id/name, dispatch time, management time,
-  execution interval;
-- per steal: thief, victim provenance (same-domain or remote);
-- per idle interval: worker and duration (from backoff accounting).
+  execution interval, provenance;
+- per steal: thief, same-domain or not, staged or pending;
+- per spawn: the child task and the task it was spawned from.
 
-Tracing is opt-in (``Runtime(..., trace=True)`` via config or by attaching
-a :class:`ExecutionTrace` to the executor) and adds one append per event, so
-traced runs remain cheap.  :mod:`repro.core.timeline` consumes traces for
-utilization profiles, wave analysis, and an ASCII Gantt rendering.
+Tracing is opt-in (``RuntimeConfig(trace=True)``): the trace is a
+:class:`repro.layer.Layer` on the executor whose hooks append one record
+per event, so traced runs remain cheap and untraced ones run no hook.
+:mod:`repro.core.timeline` consumes traces for utilization profiles, wave
+analysis, and an ASCII Gantt rendering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator
+
+from repro.layer import Layer
+from repro.schedulers.base import WorkSource
+
+#: WorkSource -> provenance label recorded in traces
+_SOURCE_LABELS = {
+    WorkSource.LOCAL_PENDING: "local",
+    WorkSource.LOCAL_STAGED: "local",
+    WorkSource.NUMA_STAGED: "numa",
+    WorkSource.NUMA_PENDING: "numa",
+    WorkSource.REMOTE_STAGED: "remote",
+    WorkSource.REMOTE_PENDING: "remote",
+    WorkSource.HIGH_PRIORITY: "high-priority",
+    WorkSource.LOW_PRIORITY: "low-priority",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +88,7 @@ class SpawnRecord:
 
 
 @dataclass
-class ExecutionTrace:
+class ExecutionTrace(Layer):
     """Accumulates the event record of one simulated run."""
 
     phases: list[PhaseRecord] = field(default_factory=list)
@@ -81,16 +97,29 @@ class ExecutionTrace:
     num_workers: int = 0
     finish_ns: int = 0
 
-    # -- recording (called by the executor) ----------------------------------------
+    # -- recording (the executor's layer hooks) -------------------------------------
 
-    def record_phase(self, record: PhaseRecord) -> None:
-        self.phases.append(record)
+    def on_stage(self, executor, task, parent) -> None:
+        self.spawns.append(SpawnRecord(
+            parent_task_id=parent.task_id if parent is not None else None,
+            child_task_id=task.task_id, child_name=task.name,
+            time_ns=executor.sim.now))
 
-    def record_steal(self, record: StealRecord) -> None:
-        self.steals.append(record)
+    def on_steal(self, executor, thief, source) -> None:
+        self.steals.append(StealRecord(
+            thief=thief, time_ns=executor.sim.now,
+            same_domain=source.same_domain, staged=source.was_staged))
 
-    def record_spawn(self, record: SpawnRecord) -> None:
-        self.spawns.append(record)
+    def on_phase(self, executor, task, worker, dispatch_ns, mgmt_ns,
+                 source) -> None:
+        self.phases.append(PhaseRecord(
+            task_id=task.task_id, task_name=task.name, worker=worker,
+            phase=task.phases, dispatch_ns=dispatch_ns, mgmt_ns=mgmt_ns,
+            start_ns=dispatch_ns + mgmt_ns, end_ns=executor.sim.now,
+            source=_SOURCE_LABELS[source]))
+
+    def on_finish(self, executor) -> None:
+        self.finish_ns = executor.finish_ns
 
     # -- queries ----------------------------------------------------------------------
 

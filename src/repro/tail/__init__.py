@@ -6,8 +6,8 @@ Public surface:
 - :class:`repro.tail.sketch.QuantileSketch` — bounded response-time window;
 - :class:`repro.tail.manager.TailManager` — detector + hedged parcels +
   speculation + fencing, one per :class:`repro.dist.DistRuntime` when
-  ``DistConfig.tail`` is set, hooked into every parcelport as a
-  :class:`repro.dist.layer.Layer`.
+  ``DistConfig.tail`` is set, hooked into every parcelport and executor
+  as a :class:`repro.layer.Layer`.
 
 The typed fence error lives with the rest of the failure hierarchy in
 :mod:`repro.faults.errors`.

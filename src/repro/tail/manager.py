@@ -7,9 +7,9 @@ or a ``LinkDegradation``-delayed link is never declared dead; correct, but
 it means a 10x-slow node silently inflates the tail with no mitigation.
 One :class:`TailManager` per :class:`repro.dist.DistRuntime` (created only
 when ``DistConfig.tail`` is set — ``None`` leaves the runtime bit-identical
-to the pre-tail code) is a :class:`repro.dist.layer.Layer` on the runtime
-and on every parcelport.  It runs four machines on the shared virtual
-clock:
+to the pre-tail code) is a :class:`repro.layer.Layer` on the runtime,
+on every parcelport and on every executor.  It runs four machines on the
+shared virtual clock:
 
 **1. Quantile-based gray-failure detection.**  Every heartbeat arrival
 (:meth:`on_heartbeat`, sent on by the recovery manager's receive path)
@@ -59,8 +59,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.dist.layer import Layer
 from repro.faults.errors import FencedEpochError
+from repro.layer import Layer
 from repro.recovery.config import HEARTBEAT_INTERVAL_NS
 from repro.runtime.future import Future
 from repro.runtime.task import Task
@@ -149,14 +149,6 @@ class TailManager(Layer):
         self._fenced: set[int] = set()
         self._fenced_rejections = [0] * n
         self._fence_notes: list[str] = []
-        # Future -> Task bookkeeping for loser cancellation: every spawn on
-        # every locality reports in (the hook exists only when tail is armed,
-        # so a disabled config leaves the executors untouched).
-        for loc in dist.localities:
-            ex = loc.runtime.executor
-            ex.on_spawn = (
-                lambda task, ex=ex: self._note_spawn(task, ex)
-            )
 
     @property
     def degraded_localities(self) -> tuple[int, ...]:
@@ -223,7 +215,10 @@ class TailManager(Layer):
 
     # -- observation hooks ------------------------------------------------------
 
-    def _note_spawn(self, task: Task, executor: "SimExecutor") -> None:
+    def on_stage(self, executor: "SimExecutor", task: Task,
+                 parent: Task | None) -> None:
+        """Future -> Task bookkeeping for loser cancellation: every spawn
+        on every locality reports in."""
         hook = task.failure_hook
         owner = getattr(hook, "__self__", None)
         if isinstance(owner, Future):
@@ -526,7 +521,7 @@ class TailManager(Layer):
             executor.cancel_task(task)
         else:
             # A dataflow clone whose re-localized dep proxies are still in
-            # flight has no Task yet — doom the future id so _note_spawn
+            # flight has no Task yet — doom the future id so on_stage
             # cancels it the moment the when_all fires and it spawns.
             self._doomed.add(clone.future_id)
 
@@ -551,7 +546,7 @@ class TailManager(Layer):
         entry = self._task_of.get(fid)
         if entry is None:
             # The original's own dep proxies are still in flight, so its
-            # Task does not exist yet: doom the future id and _note_spawn
+            # Task does not exist yet: doom the future id and on_stage
             # cancels it before it can run — it never executes.
             self._doomed.add(fid)
             cancelled = True

@@ -19,10 +19,10 @@ This package is that harness for the repro runtimes:
   memory-bound, seeded-imbalanced) lowered through the existing
   :mod:`repro.sim.costmodel` descriptors;
 - :mod:`repro.taskbench.driver` — one mapper lowering any spec onto the
-  single-node :class:`repro.runtime.Runtime`, the real-thread
-  :class:`repro.runtime.ThreadRuntime`, and the multi-locality
-  :class:`repro.dist.DistRuntime` (block/cyclic placement, cross-locality
-  edges become parcels);
+  single-node :class:`repro.runtime.runtime.Runtime`, the real-thread
+  :class:`repro.runtime.thread_executor.ThreadRuntime`, and the
+  multi-locality :class:`repro.dist.DistRuntime` (block/cyclic placement,
+  cross-locality edges become parcels);
 - :mod:`repro.taskbench.metg` — efficiency-vs-grain sweeps and the
   METG bisection, where efficiency is exactly ``1 - idle-rate`` (Eq. 1), so
   METG(50%) is the grain at which the paper's headline metric crosses 50 %.

@@ -3,12 +3,12 @@
 One mapper, three substrates:
 
 - :func:`run_taskbench` — the simulated single-node
-  :class:`repro.runtime.Runtime`; returns the ordinary :class:`RunResult`,
-  so every run yields the paper's counters (idle-rate, t_d, t_o,
-  pending-queue accesses) for free;
+  :class:`repro.runtime.runtime.Runtime`; returns the ordinary
+  :class:`RunResult`, so every run yields the paper's counters (idle-rate,
+  t_d, t_o, pending-queue accesses) for free;
 - :func:`run_taskbench_threads` — the real-OS-thread
-  :class:`repro.runtime.ThreadRuntime` (correctness only, never
-  measurement: the GIL distorts exactly what METG measures);
+  :class:`repro.runtime.thread_executor.ThreadRuntime` (correctness only,
+  never measurement: the GIL distorts exactly what METG measures);
 - :func:`run_taskbench_dist` — the multi-locality
   :class:`repro.dist.DistRuntime` with ``"block"`` or ``"cyclic"`` column
   placement; any edge whose parent lives on another locality is

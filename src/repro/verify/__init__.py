@@ -2,14 +2,15 @@
 
 The safety net under every refactor of the three runtimes: seeded
 :class:`WorkloadSpec` workloads (:mod:`repro.verify.spec`) run on the
-simulated :class:`~repro.runtime.Runtime`, the OS-thread
-:class:`~repro.runtime.ThreadRuntime`, and :class:`~repro.dist.DistRuntime`
-(one locality of which must agree with ``Runtime`` *bit-exactly*); the
-harness (:mod:`repro.verify.harness`) diffs structural fingerprints and
-checks the named conservation laws of :mod:`repro.verify.invariants`
-(``PF4xx`` findings through the :mod:`repro.analysis` catalogue); failures
-shrink (:mod:`repro.verify.shrink`) to minimal JSON reproducers replayable
-with ``python -m repro.verify replay``.  Design notes: docs/verify.md.
+simulated :class:`~repro.runtime.runtime.Runtime`, the OS-thread
+:class:`~repro.runtime.thread_executor.ThreadRuntime`, and
+:class:`~repro.dist.DistRuntime` (one locality of which must agree with
+``Runtime`` *bit-exactly*); the harness (:mod:`repro.verify.harness`)
+diffs structural fingerprints and checks the named conservation laws of
+:mod:`repro.verify.invariants` (``PF4xx`` findings through the
+:mod:`repro.analysis` catalogue); failures shrink
+(:mod:`repro.verify.shrink`) to minimal JSON reproducers replayable with
+``python -m repro.verify replay``.  Design notes: docs/verify.md.
 """
 
 from repro.verify.harness import (

@@ -1,13 +1,16 @@
-"""The distributed runtime's layer protocol (``repro.dist.layer``)."""
+"""The layer protocol (``repro.layer``)."""
 
 import pytest
 
 from repro.counters.registry import CounterRegistry
 from repro.dist import DistConfig, DistRuntime, RetryParams
-from repro.dist.layer import Layer, implementers
 from repro.dist.network import NetworkModel
 from repro.dist.parcel import Parcelport
+from repro.layer import Layer, implementers
 from repro.recovery import RecoveryConfig
+from repro.runtime.runtime import Runtime, RuntimeConfig
+from repro.runtime.task import Task
+from repro.runtime.work import FixedWork
 from repro.sim.engine import Simulator
 
 #: every hook a parcelport calls, once per protocol step of a parcel
@@ -80,3 +83,49 @@ def test_rejected_send_draws_no_parcel_id_and_books_nothing():
     assert snap.get("/parcels{locality#0/total}/count/bytes-sent") == (
         delivered[0].wire_bytes
     )
+
+
+class StageLog(Layer):
+    """Records every staged task with its parent."""
+
+    def __init__(self) -> None:
+        self.staged = []
+
+    def on_stage(self, executor, task, parent) -> None:
+        self.staged.append((task, parent))
+
+
+def test_no_layer_means_empty_executor_hook_tuples():
+    executors = [Runtime(RuntimeConfig(num_cores=2)).executor] + [
+        loc.runtime.executor
+        for loc in DistRuntime(
+            DistConfig(num_localities=2, cores_per_locality=1)
+        ).localities
+    ]
+    for ex in executors:
+        assert ex.layers == ()
+        assert (ex._stage_layers, ex._steal_layers, ex._phase_layers,
+                ex._finish_layers) == ((), (), (), ())
+
+
+def test_stage_layer_sees_every_staged_task_with_its_parent_in_order():
+    rt = Runtime(RuntimeConfig(num_cores=2))
+    log = StageLog()
+    rt.executor.layers = (log,)
+    assert implementers(rt.executor.layers, "on_phase") == ()
+    children = []
+
+    def spawn_two():
+        for _ in range(2):
+            children.append(Task(lambda: None, work=FixedWork(1_000)))
+            rt.spawn(children[-1])
+
+    first = Task(spawn_two, work=FixedWork(1_000))
+    second = Task(lambda: None, work=FixedWork(1_000))
+    rt.spawn(first)
+    rt.spawn(second)
+    rt.run()
+    assert log.staged == [
+        (first, None), (second, None), (children[0], first),
+        (children[1], first),
+    ]

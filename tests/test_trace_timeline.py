@@ -77,13 +77,13 @@ class TestTraceRecording:
 
     def test_validate_catches_overlap(self):
         trace = ExecutionTrace(num_workers=1)
-        trace.record_phase(PhaseRecord(1, "a", 0, 1, 0, 10, 10, 100, "local"))
-        trace.record_phase(PhaseRecord(2, "b", 0, 1, 50, 10, 60, 150, "local"))
+        trace.phases.append(PhaseRecord(1, "a", 0, 1, 0, 10, 10, 100, "local"))
+        trace.phases.append(PhaseRecord(2, "b", 0, 1, 50, 10, 60, 150, "local"))
         assert any("overlap" in p for p in trace.validate())
 
     def test_validate_catches_mgmt_gap_mismatch(self):
         trace = ExecutionTrace(num_workers=1)
-        trace.record_phase(PhaseRecord(1, "a", 0, 1, 0, 10, 30, 100, "local"))
+        trace.phases.append(PhaseRecord(1, "a", 0, 1, 0, 10, 30, 100, "local"))
         assert any("mgmt gap" in p for p in trace.validate())
 
 
@@ -185,7 +185,7 @@ class TestCriticalPath:
         trace = ExecutionTrace(num_workers=1)
         t = 0
         for i in range(5):
-            trace.record_phase(
+            trace.phases.append(
                 PhaseRecord(i, f"t{i}", 0, 1, t, 10, t + 10, t + 110, "local")
             )
             t += 110
@@ -194,8 +194,8 @@ class TestCriticalPath:
 
     def test_parallel_phases_not_chained(self):
         trace = ExecutionTrace(num_workers=2)
-        trace.record_phase(PhaseRecord(1, "a", 0, 1, 0, 0, 0, 100, "local"))
-        trace.record_phase(PhaseRecord(2, "b", 1, 1, 0, 0, 0, 100, "local"))
+        trace.phases.append(PhaseRecord(1, "a", 0, 1, 0, 0, 0, 100, "local"))
+        trace.phases.append(PhaseRecord(2, "b", 1, 1, 0, 0, 0, 100, "local"))
         trace.finish_ns = 100
         assert critical_path_ns(trace) == 100
 
