@@ -19,6 +19,7 @@ from repro.dist import (
     RetryParams,
     TailConfig,
 )
+from repro.experiments import figH_tail_tolerance as figH
 from repro.faults.plan import CrashAt, Straggler
 from repro.recovery import RecoveryConfig
 from repro.runtime.work import FixedWork
@@ -328,6 +329,19 @@ class TestSpeculationLedger:
     def test_speculation_respects_budget(self):
         rt, result, _ = _run(stragglers=(STRAGGLER,), tail=_tail_config())
         assert result.tasks_speculated <= rt.tail_manager.speculation_budget
+
+    def test_budget_of_one_stops_every_later_clone(self, monkeypatch):
+        # The budget grows with completed tasks, so an end-of-run check
+        # never sees one clone too many.  With no amplification allowance
+        # it stays at its floor of one while candidates keep coming.
+        monkeypatch.setattr("repro.tail.manager.MAX_SPECULATION_FRAC", 0)
+        steps, width = 10, 2
+        result, values = figH.run_cell(
+            steps, width, severity=8.0, tail_on=True, seed=figH.SEED
+        )
+        assert result.tasks_speculated == 1
+        SPECULATION_CONSERVED.require(result)
+        assert values == figH.serial_reference(steps, width)
 
     def test_speculation_disabled(self):
         _, result, values = _run(
