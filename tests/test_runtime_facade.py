@@ -106,11 +106,6 @@ class TestRun:
         )
         assert total_tasks <= 32
 
-    def test_invalid_sample_interval(self):
-        rt = Runtime(num_cores=1)
-        with pytest.raises(ValueError):
-            PolicyEngine(rt, interval_ns=0)
-
     def test_timer_counters_flag_changes_time(self):
         def total(flag):
             rt = Runtime(num_cores=1, seed=9, timer_counters=flag)
