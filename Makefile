@@ -3,7 +3,7 @@
 # Every target works from a clean checkout: PYTHONPATH=src puts the package
 # on the path without requiring `make install` first.
 
-.PHONY: check install test test-fast lint fuzz bench perf-check pins experiments experiments-report clean
+.PHONY: check install test test-fast lint imports fuzz bench perf-check pins experiments experiments-report clean
 
 # Default flow: static analysis over shipped workloads, then the test suite.
 check: lint test
@@ -21,6 +21,12 @@ test-fast:
 # code; CI requires zero findings here.
 lint:
 	PYTHONPATH=src python -m repro.analysis examples src/repro/apps --format text
+
+# Import each repro module alone, clearing repro* from sys.modules first,
+# so no module imports only after another has run (about 25 s, so it
+# stays out of tier-1; tests/test_import_graph.py is the fast check).
+imports:
+	PYTHONPATH=src python -m tests._imports
 
 # Differential parity fuzzing (docs/verify.md): a fixed 50-seed corpus
 # through Runtime/ThreadRuntime/DistRuntime with zero PF4xx findings
