@@ -35,27 +35,20 @@ def module_names() -> dict[str, Path]:
     return names
 
 
-def _is_type_checking(test: ast.expr) -> bool:
-    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
-        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
-    )
-
-
 def _module_level_imports(body: list[ast.stmt]):
     """Import statements that run when the module loads."""
     for stmt in body:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
             yield stmt
         elif isinstance(stmt, ast.If):
-            if not _is_type_checking(stmt.test):
+            test = stmt.test
+            if not (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"):
                 yield from _module_level_imports(stmt.body)
             yield from _module_level_imports(stmt.orelse)
         elif isinstance(stmt, ast.Try):
             for block in (stmt.body, stmt.orelse, stmt.finalbody,
                           *(h.body for h in stmt.handlers)):
                 yield from _module_level_imports(block)
-        elif isinstance(stmt, ast.With):
-            yield from _module_level_imports(stmt.body)
 
 
 def _runs(dotted: str, modules: dict[str, Path]) -> list[str]:
@@ -71,7 +64,6 @@ def import_graph() -> dict[str, set[str]]:
     modules = module_names()
     graph: dict[str, set[str]] = {}
     for name, path in modules.items():
-        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
         edges: set[str] = set()
         tree = ast.parse(path.read_text(), str(path))
         for stmt in _module_level_imports(tree.body):
@@ -79,11 +71,10 @@ def import_graph() -> dict[str, set[str]]:
                 for alias in stmt.names:
                     edges.update(_runs(alias.name, modules))
                 continue
-            base = stmt.module or ""
-            if stmt.level:
-                anchor = package.split(".")
-                anchor = anchor[: len(anchor) - stmt.level + 1]
-                base = ".".join(anchor + ([base] if base else []))
+            # the library imports absolutely; a relative import would need
+            # resolving against the package before it could be counted
+            assert not stmt.level, f"{name}: relative import"
+            base = stmt.module
             edges.update(_runs(base, modules))
             for alias in stmt.names:
                 if f"{base}.{alias.name}" in modules:
@@ -134,7 +125,7 @@ def test_no_import_cycle_spans_packages():
 def test_graph_sees_edges():
     graph = import_graph()
     assert "repro.runtime.task" in graph["repro.schedulers.base"]
-    # a from-import of a submodule runs the package and names the module
+    # ``from repro.sim.engine import ...`` runs the package, then the module
     assert {"repro.sim", "repro.sim.engine"} <= graph["repro.runtime.sim_executor"]
 
 
