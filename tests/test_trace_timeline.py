@@ -116,7 +116,7 @@ class TestTracePin:
          "0d6aa3ad80ca7835e0ba3c54c9a5116bab585fe75604869f8447c44388f26222"),
         ("priority-local-lifo", 8,
          "8a144852d5543e6253803e6dd181884ece58517119f2fb8889f2de789b15d1f9"),
-    ])
+    ], ids=["priority-local", "priority-local-lifo"])
     def test_records_pinned(self, scheduler, cores, digest):
         rt = Runtime(RuntimeConfig(platform="haswell", num_cores=cores,
                                    scheduler=scheduler, seed=1, trace=True))
