@@ -43,6 +43,7 @@ class TestFigureRunnersSmoke:
         series = fig.panels[panel]
         assert len(series) == 6  # the paper's SB core counts
         assert all(s.points for s in series)
+        assert_golden(fig, "fig3-sandy-bridge")
 
     def test_fig4_structure(self):
         from repro.experiments import fig4_idle_rate_haswell as exp
@@ -66,6 +67,7 @@ class TestFigureRunnersSmoke:
         assert len(fig.panels[panel]) == 4  # 4/8/16/28 cores
         problems = exp.shape_checks(fig)
         assert problems == [], problems
+        assert_golden(fig, "fig6")
 
     def test_fig7_series_complete(self):
         from repro.experiments import fig7_decomposition_haswell as exp
