@@ -82,7 +82,9 @@ class _VarState:
     """Eraser candidate-lockset state for one monitored location."""
 
     lockset: set[TrackedLock] | None = None  # None = no access yet
-    threads: set[int] = field(default_factory=set)
+    #: the threads themselves, not their idents: the OS reuses an ident
+    #: once its thread is joined, and holding the thread keeps it unique
+    threads: set[threading.Thread] = field(default_factory=set)
     writes: int = 0
     reads: int = 0
 
@@ -91,7 +93,7 @@ class _VarState:
             self.lockset = set(held)
         else:
             self.lockset &= held
-        self.threads.add(threading.get_ident())
+        self.threads.add(threading.current_thread())
         if is_write:
             self.writes += 1
         else:

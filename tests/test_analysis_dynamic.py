@@ -125,6 +125,22 @@ def test_lockset_detects_unlocked_cross_thread_writes():
     assert "counter['n']" in findings[0].message
 
 
+def test_lockset_detects_writes_from_threads_that_never_overlap():
+    # Each writer is joined before the next starts, so the OS may hand the
+    # second thread the first one's ident; the race must be seen anyway.
+    def write(state):
+        state["n"] = state["n"] + 1
+
+    for pair in range(20):
+        checker = RuntimeChecker("test")
+        state = checker.monitor({"n": 0}, f"counter{pair}")
+        for _ in range(2):
+            writer = threading.Thread(target=write, args=(state,))
+            writer.start()
+            writer.join()
+        assert [f.rule_id for f in checker.race_findings()] == ["DC303"], pair
+
+
 def test_lockset_accepts_lock_guarded_writes():
     checker = RuntimeChecker("test")
     state = checker.monitor({"n": 0}, "counter")
