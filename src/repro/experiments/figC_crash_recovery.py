@@ -49,10 +49,13 @@ from repro.dist import (
     RetryParams,
 )
 from repro.experiments.config import Scale
+from repro.experiments.figH_tail_tolerance import (
+    NUM_LOCALITIES,
+    build_workload,
+    serial_reference,
+)
 from repro.experiments.report import FigureResult, Series
 from repro.recovery import RecoveryConfig
-from repro.runtime.future import Future
-from repro.runtime.work import FixedWork
 from repro.verify.invariants import PARCELS_CONSERVED, RECOVERY_CONSERVED
 
 FIGURE_ID = "figC"
@@ -68,7 +71,6 @@ PAPER_CLAIMS = [
     "serial reference, with lost work conserved (reexecuted == lost)",
 ]
 
-NUM_LOCALITIES = 4
 #: one core per locality so checkpoint ticks genuinely compete with the
 #: chain (a second core would hide them entirely and flatten the sweep)
 CORES_PER_LOCALITY = 1
@@ -99,49 +101,9 @@ def chain_depth(scale: Scale) -> int:
     return max(24, scale.time_steps * 8)
 
 
-def serial_reference(steps: int) -> list[float]:
-    """The workload's answer, computed serially with the same arithmetic."""
-    vals = [float(i) for i in range(NUM_LOCALITIES)]
-    for t in range(steps):
-        vals = [
-            vals[i] * 0.5 + vals[(i + 1) % NUM_LOCALITIES] * 0.25
-            + t + i * 0.125
-            for i in range(NUM_LOCALITIES)
-        ]
-    return vals
-
-
 def _mean(values) -> float:
     vals = list(values)
     return sum(vals) / len(vals)
-
-
-def _step_fn(t: int, i: int):
-    return lambda a, b: a * 0.5 + b * 0.25 + t + i * 0.125
-
-
-def build_workload(
-    runtime: DistRuntime, steps: int, grain_ns: int
-) -> list[Future]:
-    """A ring of dependency chains: step ``t`` on locality ``i`` consumes
-    step ``t-1`` of itself and of its right neighbour (one halo parcel per
-    locality per step), costing ``grain_ns`` of compute."""
-    prev = [
-        runtime.make_ready_future(float(i), locality=i, name=f"root{i}")
-        for i in range(NUM_LOCALITIES)
-    ]
-    for t in range(steps):
-        prev = [
-            runtime.dataflow(
-                _step_fn(t, i),
-                [prev[i], prev[(i + 1) % NUM_LOCALITIES]],
-                locality=i,
-                work=FixedWork(grain_ns),
-                name=f"s{t}l{i}",
-            )
-            for i in range(NUM_LOCALITIES)
-        ]
-    return prev
 
 
 def _config(
@@ -184,7 +146,8 @@ def run_cell(
             checkpoint_interval_ns=checkpoint_interval_ns,
         )
     )
-    finals = build_workload(runtime, steps, grain_ns)
+    # figH's ring of dependency chains, one chain per locality
+    finals = build_workload(runtime, steps, 1, grain_ns=grain_ns)
     result = runtime.wait(finals)
     return result, [f.value for f in finals]
 
@@ -245,7 +208,7 @@ def run(scale: Scale) -> FigureResult:
         ylabel="execution time (s)",
     )
     steps = chain_depth(scale)
-    reference = serial_reference(steps)
+    reference = serial_reference(steps, 1)
     problems: list[str] = []
     fig.notes.append(
         f"scale={scale.name}; {NUM_LOCALITIES} localities x "

@@ -136,13 +136,14 @@ def serial_reference(steps: int, width: int) -> list[float]:
 
 
 def build_workload(
-    runtime: DistRuntime, steps: int, width: int
+    runtime: DistRuntime, steps: int, width: int, *, grain_ns: int | None = None
 ) -> list[Future]:
     """``width`` ring-coupled chains per locality: chain ``j``'s step ``t``
     on locality ``i`` consumes its own step ``t-1`` and the right
     neighbour's (one halo parcel per chain per step), each step costing
-    ``STEP_WORK_NS / width`` so total work per cell is grain-invariant."""
-    grain = STEP_WORK_NS // width
+    ``grain_ns``.  By default that is ``STEP_WORK_NS / width``, so total
+    work per cell is grain-invariant."""
+    grain = STEP_WORK_NS // width if grain_ns is None else grain_ns
     prev = [
         [
             runtime.make_ready_future(
