@@ -221,7 +221,6 @@ def stencil_run_fn(
     time_steps: int,
     *,
     validate: bool = False,
-    heat_coefficient: float = 0.25,
 ):
     """A ``(RuntimeConfig, grain) -> RunResult`` closure for the
     characterization driver (:mod:`repro.core.characterize`), with the grain
@@ -232,7 +231,6 @@ def stencil_run_fn(
             total_points=total_points,
             partition_points=partition_points,
             time_steps=time_steps,
-            heat_coefficient=heat_coefficient,
             validate=validate,
         )
         return run_stencil(runtime_config, config).result

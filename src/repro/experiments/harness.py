@@ -41,10 +41,8 @@ def stencil_report(
     platform: str,
     num_cores: int,
     *,
-    scheduler: str = "priority-local",
     grains: list[int] | None = None,
     total_points: int | None = None,
-    seed: int = 0,
     measure_single_core_reference: bool = True,
 ) -> CharacterizationReport:
     """Characterize HPX-Stencil for one (platform, cores) configuration."""
@@ -55,9 +53,7 @@ def stencil_report(
         grains if grains is not None else sweep_for(scale, total),
         platform=platform,
         num_cores=num_cores,
-        scheduler=scheduler,
         repetitions=scale.repetitions,
-        seed=seed,
         measure_single_core_reference=measure_single_core_reference,
     )
 

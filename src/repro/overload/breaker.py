@@ -94,7 +94,6 @@ class CircuitBreaker:
         source: int,
         destination: int,
         on_half_open: Callable[[], None] | None = None,
-        on_transition: Callable[[BreakerState, BreakerState], None] | None = None,
     ):
         self.params = params
         self.sim = simulator
@@ -102,7 +101,6 @@ class CircuitBreaker:
         self.source = source
         self.destination = destination
         self.on_half_open = on_half_open
-        self.on_transition = on_transition
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at_ns: int | None = None
@@ -193,9 +191,6 @@ class CircuitBreaker:
         old = self.state
         self.state = new
         self.transitions.append((self.sim.now, old.value, new.value))
-        hook = self.on_transition
-        if hook is not None:
-            hook(old, new)
 
     def _cancel_pending_probe(self) -> None:
         if self._half_open_event is not None:

@@ -61,7 +61,6 @@ class QosClass:
     rank: int
     latency_target_ns: int
     weight: int = 1
-    priority: Priority = Priority.NORMAL
     shed_eligible: bool = True
     warp_ns: int = 0
 
@@ -83,9 +82,9 @@ class QosClass:
 def default_classes() -> tuple[QosClass, QosClass, QosClass]:
     """The stock three-tier ladder: batch < standard < interactive.
 
-    All three run at NORMAL queue priority on purpose: isolation must come
-    from the QoS machinery itself (EDF buckets, class-aware shedding), not
-    from the priority queues — that is exactly what figQ asserts.
+    Their requests run at NORMAL queue priority on purpose: isolation must
+    come from the QoS machinery itself (EDF buckets, class-aware shedding),
+    not from the priority queues — that is exactly what figQ asserts.
     """
     return (
         QosClass(

@@ -37,7 +37,6 @@ from repro.qos.classes import (
 )
 from repro.qos.scheduler import QosBucketScheduler
 from repro.runtime.runtime import Runtime, RuntimeConfig, RunResult
-from repro.runtime.task import Priority
 from repro.runtime.work import FixedWork
 from repro.schedulers.base import SchedulingPolicy
 
@@ -156,9 +155,6 @@ def run_qos_service(
             _unit,
             work=FixedWork(tenant.grain_ns),
             name=f"qos:{tenant.name}#{index}",
-            priority=(
-                Priority.NORMAL if tenant.qos is None else tenant.qos.priority
-            ),
             qos=tenant.qos,
         )
 

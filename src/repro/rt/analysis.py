@@ -70,6 +70,7 @@ from repro.rt.model import RtTaskSpec, TaskSet, split_exact
 from repro.rt.resources import PROTOCOLS
 from repro.rt.scheduler import rate_monotonic_priorities
 from repro.runtime.task import Priority
+from repro.sim.costmodel import LOCK_OVERHEAD_NS
 from repro.sim.platforms import get_platform
 
 __all__ = [
@@ -230,7 +231,7 @@ def rta(
         demand[t.name] = (
             t.wcet_ns * (1.0 + margin)
             + len(chunks[t.name]) * chunk_overhead
-            + (costs.lock_overhead_ns if t.resource is not None else 0.0)
+            + (LOCK_OVERHEAD_NS if t.resource is not None else 0.0)
         )
 
     utilization = taskset.utilization()

@@ -37,7 +37,7 @@ bound chosen so that a holder which made steady progress (any protocol
 that boosts it) always releases in time, while a starved holder cannot.
 
 The lock operation itself costs time: :meth:`repro.sim.costmodel.
-CostModel.lock_cost_ns` (``CostParams.lock_overhead_ns``) is charged to
+CostModel.lock_cost_ns` (``LOCK_OVERHEAD_NS``) is charged to
 the acquiring subtask by the service layer, so contention shows up in the
 simulated clock, not just in the counters.
 """

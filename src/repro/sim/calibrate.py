@@ -24,7 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.sim.costmodel import CostModel
+from repro.sim.costmodel import (
+    BYTES_PER_POINT,
+    CONTENTION_EXP,
+    MEM_BOUND_FRAC,
+    SOLO_INTERFERENCE_FRAC,
+    CostModel,
+)
 from repro.sim.platforms import PlatformSpec
 
 
@@ -93,7 +99,7 @@ def calibrate(
     probe = CostModel(base, 1, seed=0)
     factor = probe.cache_factor(kernel.points)
     per_point = kernel.duration_ns / (
-        kernel.points * factor * (1.0 + params.solo_interference_frac)
+        kernel.points * factor * (1.0 + SOLO_INTERFERENCE_FRAC)
     )
     params = replace(params, per_point_ns=per_point)
 
@@ -103,8 +109,8 @@ def calibrate(
     if scaling is not None:
         inflation = scaling.cores / scaling.speedup
         if inflation > 1.0 + 1e-9:
-            ratio = 1.0 + (inflation - 1.0) / params.mem_bound_frac
-            demand = params.bytes_per_point / per_point  # bytes/ns/core
+            ratio = 1.0 + (inflation - 1.0) / MEM_BOUND_FRAC
+            demand = BYTES_PER_POINT / per_point  # bytes/ns/core
             bandwidth = demand * scaling.cores / ratio
             params = replace(params, mem_bandwidth_bytes_per_ns=bandwidth)
         # speedup == cores: never saturates at this count; keep base value.
@@ -123,9 +129,7 @@ def calibrate(
         base_to = params.task_overhead_ns + params.timer_overhead_ns
         scale = needed_to / base_to
         if scale > 1.0:
-            coef = (scale - 1.0) / (
-                (contention.cores - 1) ** params.contention_exp
-            )
+            coef = (scale - 1.0) / (contention.cores - 1) ** CONTENTION_EXP
             params = replace(params, contention_coef=coef)
 
     return replace(base, costs=params)

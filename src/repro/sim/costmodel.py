@@ -26,7 +26,7 @@ credits caching/housekeeping effects on the single-core reference run
 (Sec. II-A).  We model the real component of that: when every core is busy
 (the 1-core case by definition), runtime housekeeping (timers, the main
 driver thread, OS ticks) interferes with task execution, inflating long tasks
-by ``solo_interference_frac``; with idle cores present the interference lands
+by ``SOLO_INTERFERENCE_FRAC``; with idle cores present the interference lands
 there instead.
 
 All randomness is a seeded multiplicative jitter so that repeated runs have
@@ -40,6 +40,48 @@ import random
 from dataclasses import dataclass
 
 from repro.sim.platforms import CostParams, PlatformSpec
+
+# The constants every platform shares; the per-platform calibration lives in
+# :class:`repro.sim.platforms.CostParams`.
+
+#: fraction of ``task_overhead_ns`` paid at hpx::async time (creation/staging)
+CREATE_FRAC = 0.35
+#: fraction paid when a staged thread is converted to pending
+CONVERT_FRAC = 0.35
+#: fraction paid as the context switch into the running task
+SWITCH_FRAC = 0.30
+#: cost of taking a shared-resource lock (the critical-section entry of the
+#: RT scenario pack, repro.rt); an uncontended atomic plus the bookkeeping
+#: HPX spends on a mutex fast path
+LOCK_OVERHEAD_NS = 60.0
+#: exponent of the convex contention growth of the management cost
+#: (``CostParams.contention_coef`` is its coefficient)
+CONTENTION_EXP = 2.0
+#: bytes of memory traffic per grid point: three streamed 8 B arrays plus
+#: the read-for-ownership on the written line and imperfect prefetch
+BYTES_PER_POINT = 38.0
+#: fraction of compute time that is memory-stalled (subject to inflation)
+MEM_BOUND_FRAC = 0.80
+#: relative slowdown of data in shared LLC instead of private L2
+LLC_PENALTY = 0.08
+#: relative slowdown of streaming from DRAM instead of cache
+DRAM_PENALTY = 0.18
+#: relative speedup of data resident in L1
+L1_BONUS = 0.08
+#: runtime-housekeeping interference on task durations when no idle core
+#: exists to absorb it (the source of negative wait time, Sec. II-A/IV-C)
+SOLO_INTERFERENCE_FRAC = 0.06
+#: multiplicative jitter half-width applied per task (seeded RNG)
+JITTER_FRAC = 0.02
+#: run-level jitter of the management-cost budget: base half-width ...
+RUN_JITTER_BASE = 0.02
+#: ... plus a quadratic-in-cores term (OS/allocator noise grows with
+#: concurrency; reproduces the paper's COV structure: "less than 10%
+#: (most less than 3%) for experiments using less than 16 cores",
+#: "up to 21%" at >16 cores and partitions under 32,000 (Sec. IV)
+RUN_JITTER_PER_CORE2 = 1.6e-4
+#: cap on the run-level jitter half-width
+RUN_JITTER_CAP = 0.20
 
 
 @dataclass(frozen=True)
@@ -78,20 +120,20 @@ class CostModel:
         p = self.params
         # Fixed split of the per-task management budget.
         self._base_costs = TaskCosts(
-            create_ns=int(p.task_overhead_ns * p.create_frac),
-            convert_ns=int(p.task_overhead_ns * p.convert_frac),
-            switch_ns=int(p.task_overhead_ns * p.switch_frac),
+            create_ns=int(p.task_overhead_ns * CREATE_FRAC),
+            convert_ns=int(p.task_overhead_ns * CONVERT_FRAC),
+            switch_ns=int(p.task_overhead_ns * SWITCH_FRAC),
         )
         # Bandwidth demand of one core running the stencil flat out, in
         # bytes per nanosecond (== GB/s).
-        self._per_core_demand = p.bytes_per_point / p.per_point_ns
+        self._per_core_demand = BYTES_PER_POINT / p.per_point_ns
         # Run-level perturbation of the management budget: one draw per run
         # (per seed), with a half-width that grows with core count.  This is
         # the systemic OS/allocator noise behind the paper's COV structure;
         # per-task jitter alone would average away over thousands of tasks.
         half_width = min(
-            p.run_jitter_cap,
-            p.run_jitter_base + p.run_jitter_per_core2 * (num_cores - 1) ** 2,
+            RUN_JITTER_CAP,
+            RUN_JITTER_BASE + RUN_JITTER_PER_CORE2 * (num_cores - 1) ** 2,
         )
         self._run_overhead_factor = 1.0 + self._rng.uniform(
             -half_width, half_width
@@ -104,12 +146,12 @@ class CostModel:
 
         ``active_cores`` is the number of workers currently competing for the
         scheduler's shared structures; contention grows the cost convexly
-        (quadratically by default), per mechanism 1 above — negligible on a
-        few cores, an order of magnitude on a full Haswell node, which is
-        what the paper's 90 % fine-grain idle-rates imply.
+        (quadratically, ``CONTENTION_EXP``), per mechanism 1 above —
+        negligible on a few cores, an order of magnitude on a full Haswell
+        node, which is what the paper's 90 % fine-grain idle-rates imply.
         """
         p = self.params
-        scale = 1.0 + p.contention_coef * max(0, active_cores - 1) ** p.contention_exp
+        scale = 1.0 + p.contention_coef * max(0, active_cores - 1) ** CONTENTION_EXP
         scale *= self._run_overhead_factor
         if self.timer_counters_enabled:
             timer = p.timer_overhead_ns
@@ -130,7 +172,7 @@ class CostModel:
         """Cost of one shared-resource acquisition (repro.rt critical
         sections); charged to the acquiring subtask so lock traffic moves
         the simulated clock, not just the counters."""
-        return int(self.params.lock_overhead_ns)
+        return int(LOCK_OVERHEAD_NS)
 
     def steal_cost_ns(self, *, same_domain: bool) -> int:
         """Extra cost of acquiring work from another worker's queues."""
@@ -157,16 +199,15 @@ class CostModel:
         The stencil touches three arrays (read-previous, read-neighbours,
         write-next), so the per-task working set is ``3 * 8 * points`` bytes.
         """
-        p = self.params
         working_set = 3 * 8 * points
         if working_set <= self.platform.l1_bytes:
-            return 1.0 - p.l1_bonus
+            return 1.0 - L1_BONUS
         if working_set <= self.platform.l2_bytes:
             return 1.0
         llc = self.platform.shared_l3_bytes
         if llc is not None and working_set <= llc:
-            return 1.0 + p.llc_penalty
-        return 1.0 + p.dram_penalty
+            return 1.0 + LLC_PENALTY
+        return 1.0 + DRAM_PENALTY
 
     def bandwidth_inflation(self, effective_cores: float) -> float:
         """Duration multiplier from bandwidth oversubscription (mechanism 2).
@@ -182,12 +223,11 @@ class CostModel:
         region, where task durations stay near their single-core values
         while idle-rate explodes.
         """
-        p = self.params
         demand = self._per_core_demand * max(1.0, effective_cores)
-        ratio = demand / p.mem_bandwidth_bytes_per_ns
+        ratio = demand / self.params.mem_bandwidth_bytes_per_ns
         if ratio <= 1.0:
             return 1.0
-        return 1.0 + p.mem_bound_frac * (ratio - 1.0)
+        return 1.0 + MEM_BOUND_FRAC * (ratio - 1.0)
 
     def compute_ns(
         self,
@@ -207,15 +247,14 @@ class CostModel:
         ``mgmt_ns`` — management time paid around this task; sets the duty
         cycle with which active cores actually demand bandwidth.
         """
-        p = self.params
-        base = points * p.per_point_ns * self.cache_factor(points)
+        base = points * self.params.per_point_ns * self.cache_factor(points)
         duty = base / (base + mgmt_ns) if mgmt_ns > 0 else 1.0
         effective = 1.0 + (max(1, active_cores) - 1) * duty
         base *= self.bandwidth_inflation(effective)
         if idle_cores == 0:
-            base *= 1.0 + p.solo_interference_frac
-        if jitter and p.jitter_frac > 0.0:
-            base *= 1.0 + self._rng.uniform(-p.jitter_frac, p.jitter_frac)
+            base *= 1.0 + SOLO_INTERFERENCE_FRAC
+        if jitter:
+            base *= 1.0 + self._rng.uniform(-JITTER_FRAC, JITTER_FRAC)
         return max(1, int(base))
 
     def uniform_work_ns(self, nominal_ns: int, *, jitter: bool = True) -> int:
@@ -225,8 +264,6 @@ class CostModel:
         task sizes directly in nanoseconds rather than in grid points.
         """
         base = float(nominal_ns)
-        if jitter and self.params.jitter_frac > 0.0:
-            base *= 1.0 + self._rng.uniform(
-                -self.params.jitter_frac, self.params.jitter_frac
-            )
+        if jitter:
+            base *= 1.0 + self._rng.uniform(-JITTER_FRAC, JITTER_FRAC)
         return max(1, int(base))

@@ -31,68 +31,36 @@ GB = 1024 * MB
 
 @dataclass(frozen=True)
 class CostParams:
-    """Calibration constants consumed by :class:`repro.sim.costmodel.CostModel`.
+    """The cost constants the platforms calibrate, consumed by
+    :class:`repro.sim.costmodel.CostModel`.
 
-    All times are nanoseconds of virtual time.
+    Only the numbers that differ between machines live here; the ones every
+    platform shares are module constants of :mod:`repro.sim.costmodel`.  All
+    times are nanoseconds of virtual time.
     """
 
     #: compute time per grid point, single core, data resident in L2
     per_point_ns: float
     #: total thread-management time per task (create + stage->pend + switch)
     task_overhead_ns: float
-    #: fraction of task_overhead_ns paid at hpx::async time (creation/staging)
-    create_frac: float = 0.35
-    #: fraction paid when a staged thread is converted to pending
-    convert_frac: float = 0.35
-    #: fraction paid as the context switch into the running task
-    switch_frac: float = 0.30
     #: cost of one look into a queue (hit or miss)
     poll_cost_ns: float = 40.0
-    #: cost of taking a shared-resource lock (the critical-section entry of
-    #: the RT scenario pack, repro.rt); an uncontended atomic plus the
-    #: bookkeeping HPX spends on a mutex fast path
-    lock_overhead_ns: float = 60.0
     #: extra cost of taking work from another worker in the same NUMA domain
     steal_cost_ns: float = 250.0
     #: extra cost of taking work from a remote NUMA domain
     numa_steal_cost_ns: float = 700.0
     #: coefficient of the convex queue/allocator-contention growth of the
-    #: per-task management cost: scale = 1 + coef * (active_cores - 1)^exp.
+    #: per-task management cost: scale = 1 + coef * (active_cores - 1)^exp,
+    #: with exp = :data:`repro.sim.costmodel.CONTENTION_EXP`.
     #: The paper's fine-grain data implies strongly superlinear growth
     #: (~1 us/task on 1 core vs >10 us/task on 28 cores; see Sec. IV-A's
-    #: 90% idle-rates), hence the quadratic default.
+    #: 90% idle-rates), hence the quadratic exponent.
     contention_coef: float = 0.020
-    contention_exp: float = 2.0
     #: sustained node memory bandwidth available to the stencil (bytes/ns)
     mem_bandwidth_bytes_per_ns: float = 95.0
-    #: bytes of memory traffic per grid point: three streamed 8 B arrays plus
-    #: the read-for-ownership on the written line and imperfect prefetch
-    bytes_per_point: float = 38.0
-    #: fraction of compute time that is memory-stalled (subject to inflation)
-    mem_bound_frac: float = 0.80
-    #: relative slowdown of data in shared LLC instead of private L2
-    llc_penalty: float = 0.08
-    #: relative slowdown of streaming from DRAM instead of cache
-    dram_penalty: float = 0.18
-    #: relative speedup of data resident in L1
-    l1_bonus: float = 0.08
-    #: runtime-housekeeping interference on task durations when no idle core
-    #: exists to absorb it (the source of negative wait time, Sec. II-A/IV-C)
-    solo_interference_frac: float = 0.06
     #: cost of the timestamp pair taken per task for the timing counters;
     #: the paper found this insignificant except for sub-4us tasks on 1 core
     timer_overhead_ns: float = 30.0
-    #: multiplicative jitter half-width applied per task (seeded RNG)
-    jitter_frac: float = 0.02
-    #: run-level jitter of the management-cost budget: base half-width ...
-    run_jitter_base: float = 0.02
-    #: ... plus a quadratic-in-cores term (OS/allocator noise grows with
-    #: concurrency; reproduces the paper's COV structure: "less than 10%
-    #: (most less than 3%) for experiments using less than 16 cores",
-    #: "up to 21%" at >16 cores and partitions under 32,000 (Sec. IV)
-    run_jitter_per_core2: float = 1.6e-4
-    #: cap on the run-level jitter half-width
-    run_jitter_cap: float = 0.20
 
 
 @dataclass(frozen=True)
@@ -112,7 +80,7 @@ class PlatformSpec:
     l2_bytes: int
     shared_l3_bytes: int | None
     ram_bytes: int
-    costs: CostParams = field(repr=False, default_factory=lambda: CostParams(1.3, 900.0))
+    costs: CostParams = field(repr=False)
     #: core counts plotted for this platform in Fig. 3
     fig3_core_counts: tuple[int, ...] = ()
     #: time steps used by the paper on this platform (50, or 5 on the Phi)
@@ -219,7 +187,6 @@ XEON_PHI = PlatformSpec(
         # effective figure for non-prefetched stencil streams.
         mem_bandwidth_bytes_per_ns=7.0,
         contention_coef=0.018,
-        contention_exp=2.0,
         timer_overhead_ns=120.0,
     ),
     # The paper runs 1..60 cores (one thread/core; extra threads gave no

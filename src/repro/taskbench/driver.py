@@ -37,6 +37,8 @@ from repro.taskbench.patterns import TaskBenchSpec
 
 #: column -> locality maps for the distributed lowering
 PLACEMENTS = ("block", "cyclic")
+#: how long :func:`run_taskbench_threads` waits for its OS threads
+THREAD_TIMEOUT_S = 120.0
 
 #: ``(step, index) -> (body, name, extra submission keywords)`` of one task
 TaskFn = Callable[[int, int], tuple[Callable[..., Any], str, dict[str, Any]]]
@@ -155,17 +157,15 @@ def run_taskbench_threads(
     spec: TaskBenchSpec,
     *,
     num_workers: int = 4,
-    scheduler: str = "priority-local",
-    timeout_s: float = 120.0,
 ) -> int:
     """Run ``spec`` on real OS threads; returns the task count executed.
 
     Proof of portability, not a measurement: the thread executor ignores
     work descriptors and the GIL serializes the (trivial) task bodies.
     """
-    with ThreadRuntime(num_workers=num_workers, scheduler=scheduler) as rt:
+    with ThreadRuntime(num_workers=num_workers) as rt:
         futures = build_taskbench_graph(rt, spec)
-        rt.wait_idle(timeout_s=timeout_s)
+        rt.wait_idle(timeout_s=THREAD_TIMEOUT_S)
     _verify(futures, spec)
     return len(futures)
 

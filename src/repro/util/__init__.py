@@ -1,4 +1,4 @@
-"""Shared utilities: statistics, table rendering, ASCII plotting, time units.
+"""Shared utilities: statistics, table rendering, ASCII plotting.
 
 These helpers are deliberately dependency-light (numpy only) so that every
 other subpackage can use them without import cycles.
@@ -6,15 +6,6 @@ other subpackage can use them without import cycles.
 
 from repro.util.stats import SampleStats, cov, describe, mean, stddev
 from repro.util.tables import format_table
-from repro.util.timeunits import (
-    MICROSECOND,
-    MILLISECOND,
-    NANOSECOND,
-    SECOND,
-    format_ns,
-    ns_to_seconds,
-    seconds_to_ns,
-)
 
 __all__ = [
     "SampleStats",
@@ -23,11 +14,4 @@ __all__ = [
     "mean",
     "stddev",
     "format_table",
-    "NANOSECOND",
-    "MICROSECOND",
-    "MILLISECOND",
-    "SECOND",
-    "format_ns",
-    "ns_to_seconds",
-    "seconds_to_ns",
 ]

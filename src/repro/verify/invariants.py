@@ -355,16 +355,18 @@ ANALYSIS_CLEAN = Invariant(
 # -- PF406: bit-identical rerun -------------------------------------------------
 
 
-def _counter_diff(
-    a: Mapping[str, float], b: Mapping[str, float], limit: int = 3
-) -> str:
+#: counters a PF406 finding names before it says "(+N more)"
+_DIFFS_SHOWN = 3
+
+
+def _counter_diff(a: Mapping[str, float], b: Mapping[str, float]) -> str:
     keys = sorted(set(a) | set(b))
     diffs = [k for k in keys if a.get(k) != b.get(k)]
     shown = ", ".join(
-        f"{k}: {a.get(k)} != {b.get(k)}" for k in diffs[:limit]
+        f"{k}: {a.get(k)} != {b.get(k)}" for k in diffs[:_DIFFS_SHOWN]
     )
-    extra = f" (+{len(diffs) - limit} more)" if len(diffs) > limit else ""
-    return shown + extra
+    hidden = len(diffs) - _DIFFS_SHOWN
+    return shown + (f" (+{hidden} more)" if hidden > 0 else "")
 
 
 def _rerun_violation(first: "RunResult", second: "RunResult") -> str | None:
