@@ -46,7 +46,6 @@ __all__ = [
     "git_revision",
     "main",
     "record",
-    "registered_experiments",
     "reset",
     "write",
 ]
@@ -119,42 +118,22 @@ def git_revision(cwd: str | Path | None = None) -> str:
     return rev
 
 
-def registered_experiments() -> list[str]:
-    """Every experiment ``make bench`` is expected to cover — the CLI
-    registry's names, which the benchmark files record under (their
-    ``FIGURE_ID``s match the registry keys one for one)."""
-    from repro.experiments.cli import EXPERIMENT_MODULES
-
-    return sorted(EXPERIMENT_MODULES)
-
-
-def write(
-    directory: str | Path = ".",
-    revision: str | None = None,
-    registered: list[str] | None = None,
-) -> Path | None:
+def write(directory: str | Path = ".", revision: str | None = None) -> Path | None:
     """Write ``BENCH_<rev>.json`` into ``directory``; ``None`` when the
     session recorded nothing (e.g. ``-k`` deselected every benchmark).
 
-    Besides the per-run records, the payload pins *coverage*: the sorted
-    set of experiments that actually ran, plus every registered
-    experiment the session missed — so a figure added to the CLI without
-    a benchmark shows up as a named hole in the trail, not a silent gap
-    in a diff.
+    Besides the per-run records, the payload lists the sorted set of
+    experiments that ran.  ``benchmarks/bench_figures.py`` runs every
+    experiment the CLI registers, so a full session covers them all.
     """
     if not RECORDS:
         return None
     rev = revision if revision is not None else git_revision(directory)
-    expected = (
-        registered_experiments() if registered is None else sorted(registered)
-    )
-    ran = sorted({r.experiment for r in RECORDS})
     path = Path(directory) / f"BENCH_{rev}.json"
     payload = {
         "revision": rev,
         "records": [asdict(r) for r in sorted(RECORDS, key=lambda r: r.experiment)],
-        "experiments": ran,
-        "missing": [name for name in expected if name not in set(ran)],
+        "experiments": sorted({r.experiment for r in RECORDS}),
         "total_wall_s": round(sum(r.wall_s for r in RECORDS), 4),
         "total_tasks": sum(r.tasks for r in RECORDS),
     }
