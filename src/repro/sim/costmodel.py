@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 from repro.sim.platforms import CostParams, PlatformSpec
 
-# The constants every platform shares; the per-platform calibration lives in
-# :class:`repro.sim.platforms.CostParams`.
+# The constants every platform shares; what the platforms calibrate is in
+# repro.sim.platforms.CostParams.
 
 #: fraction of ``task_overhead_ns`` paid at hpx::async time (creation/staging)
 CREATE_FRAC = 0.35
