@@ -94,6 +94,18 @@ class TestFigureRunnersSmoke:
         assert_golden(fig, "fig9")
 
     @pytest.mark.slow
+    def test_fig5_series_pinned(self):
+        from repro.experiments import fig5_idle_rate_phi as exp
+
+        assert_golden(exp.run(SMOKE), "fig5")
+
+    @pytest.mark.slow
+    def test_fig8_series_pinned(self):
+        from repro.experiments import fig8_decomposition_phi as exp
+
+        assert_golden(exp.run(SMOKE), "fig8")
+
+    @pytest.mark.slow
     def test_fig10_series_pinned(self):
         from repro.experiments import fig10_pending_queue_phi as exp
 
