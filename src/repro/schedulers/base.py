@@ -9,14 +9,24 @@ thread executor share every policy unchanged.
 NUMA-aware policy (Priority Local and the deadline-bucket presets) runs it
 over its own per-worker queues, with the steal orders that
 :meth:`SchedulingPolicy.attach` precomputes.
+
+Idle searches cost O(1).  A policy keeps one *may have work* bit: every
+enqueue sets it, and only a full search that finds nothing clears it.
+While it is clear, :meth:`SchedulingPolicy.find_work` charges the probes
+an empty search would make to one policy-level tally, which
+:meth:`SchedulingPolicy.aggregate_stats` adds to the queues' own counts,
+and returns ``None`` without touching a queue.  A policy built inside
+:func:`repro.fastpath.reference` always runs the full search and checks
+that the bit and the charge were right.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterator, Sequence
 
+from repro import fastpath
 from repro.runtime.task import Task
 from repro.schedulers.queues import DualQueue, QueueStats
 from repro.sim.machine import Machine
@@ -119,6 +129,8 @@ class SchedulingPolicy:
 
     Lifecycle: construct, then :meth:`attach` to a machine (builds queues),
     then any number of enqueue/find_work calls from the executor.
+    Subclasses supply :meth:`_build_queues`, :meth:`_enqueue`,
+    :meth:`_search` and :meth:`queues`.
     """
 
     name: str = "abstract"
@@ -129,6 +141,18 @@ class SchedulingPolicy:
         # Fig. 1 steal orders (steps 3-4 and 5-6), one tuple per worker.
         self._same_domain: list[tuple[int, ...]] = []
         self._remote: list[tuple[int, ...]] = []
+        # The may-have-work bit: clear only while every queue, deferred
+        # lanes included, is known to be empty.  Enqueues set it and a
+        # full search that finds nothing clears it; nothing else writes
+        # it.  ThreadRuntime calls enqueue and find_work only under its
+        # own lock, which is what keeps the bit exact across threads.
+        self._may_have_work = True
+        #: probes, per lane, of the searches the clear bit skipped
+        self._skipped_probes = 0
+        #: probes per lane of one empty search; None: never skip
+        self._idle_probes: int | None = None
+        #: built inside fastpath.reference(): always search, and check
+        self._reference = False
 
     # -- setup ---------------------------------------------------------------
 
@@ -139,25 +163,79 @@ class SchedulingPolicy:
         self._same_domain = [machine.same_domain_cores(w) for w in range(n)]
         self._remote = [machine.remote_domain_cores(w) for w in range(n)]
         self._build_queues()
+        self._may_have_work = True
+        self._skipped_probes = 0
+        self._idle_probes = self._empty_search_probes()
+        self._reference = fastpath.in_reference()
 
     def _build_queues(self) -> None:
         raise NotImplementedError
+
+    def _empty_search_probes(self) -> int | None:
+        """Queues one search probes, in each lane, when every queue is
+        empty; ``None`` when a miss does not prove every queue empty (the
+        search skips queues), which turns the fast path off."""
+        return None
 
     # -- producer interface ----------------------------------------------------
 
     def enqueue_staged(self, task: Task, worker: int) -> None:
         """Place a newly created thread description near ``worker``."""
-        raise NotImplementedError
+        self._may_have_work = True
+        task.home_worker = worker
+        self._enqueue(task, worker, pending=False)
 
     def enqueue_pending(self, task: Task, worker: int) -> None:
         """Requeue a resumed (previously suspended) thread near ``worker``."""
+        self._may_have_work = True
+        task.home_worker = worker
+        self._enqueue(task, worker, pending=True)
+
+    def _enqueue(self, task: Task, worker: int, *, pending: bool) -> None:
+        """Push ``task`` onto the pending or staged lane of the queue the
+        policy routes it to near ``worker``."""
         raise NotImplementedError
 
     # -- consumer interface -----------------------------------------------------
 
     def find_work(self, worker: int) -> FoundWork | None:
-        """The policy's work-finding algorithm for an idle ``worker``."""
+        """The policy's work-finding algorithm for an idle ``worker``.
+
+        While the may-have-work bit is clear, every queue is empty: the
+        search is skipped and its probes go to the policy's tally.
+        """
+        if not self._may_have_work:
+            if not self._reference:
+                self._skipped_probes += self._idle_probes
+                return None
+            return self._checked_search(worker)
+        found = self._search(worker)
+        if found is None and self._idle_probes is not None:
+            self._may_have_work = False
+        return found
+
+    def _search(self, worker: int) -> FoundWork | None:
+        """The full search over the policy's queues."""
         raise NotImplementedError
+
+    def _checked_search(self, worker: int) -> FoundWork | None:
+        """Reference mode's search behind a clear bit: it must find
+        nothing and charge exactly the declared probes per lane."""
+        before = astuple(self.aggregate_stats())
+        found = self._search(worker)
+        if found is not None:
+            raise fastpath.FastPathError(
+                f"{self.name}: the may-have-work bit was clear, but worker "
+                f"{worker} found {found.task.name!r} ({found.source.name})"
+            )
+        charged = [b - a for a, b in zip(before, astuple(self.aggregate_stats()))]
+        if charged != [self._idle_probes] * 4:
+            raise fastpath.FastPathError(
+                f"{self.name}: an empty search by worker {worker} charged "
+                f"{charged} (pending accesses, misses, staged accesses, "
+                f"misses); the fast path charges {self._idle_probes} to each"
+            )
+        return None
 
     def shared_structure_penalty_ns(self, active_workers: int) -> int:
         """Extra per-dispatch cost of contention on policy-owned shared
@@ -203,8 +281,12 @@ class SchedulingPolicy:
         return sum(q.pending_len + q.staged_len for q in self.queues())
 
     def aggregate_stats(self) -> QueueStats:
-        """Summed access/miss counts over every queue."""
-        total = QueueStats()
+        """Summed access/miss counts over every queue, plus the probes the
+        may-have-work bit skipped: each of those is one access and one miss
+        in both lanes, exactly what the skipped search would have counted.
+        """
+        skipped = self._skipped_probes
+        total = QueueStats(skipped, skipped, skipped, skipped)
         for q in self.queues():
             total.merge(q.stats)
         return total

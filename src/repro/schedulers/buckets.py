@@ -151,7 +151,6 @@ class DeadlineBucketScheduler(SchedulingPolicy):
     def _enqueue(self, task: Task, worker: int, *, pending: bool) -> None:
         bucket = self._bucket_for(task)
         wake = bucket.warp_ns > 0 and bucket.hot_depth() == 0
-        task.home_worker = worker
         queue = bucket.queues[worker]
         if pending:
             queue.push_pending(task)
@@ -162,13 +161,12 @@ class DeadlineBucketScheduler(SchedulingPolicy):
         if wake and bucket.hot_depth() > 0:
             bucket.warp_remaining = self.warp_dispatches
 
-    def enqueue_staged(self, task: Task, worker: int) -> None:
-        self._enqueue(task, worker, pending=False)
-
-    def enqueue_pending(self, task: Task, worker: int) -> None:
-        self._enqueue(task, worker, pending=True)
-
     # -- consumer ----------------------------------------------------------------
+
+    def _empty_search_probes(self) -> int:
+        # The root phase passes over buckets without work, so an empty
+        # search probes nothing; the bit saves the root phase's scan.
+        return 0
 
     def _selection_order(self) -> list[DeadlineBucket]:
         """Root-bucket phase: starved buckets first, then EDF order."""
@@ -195,7 +193,7 @@ class DeadlineBucketScheduler(SchedulingPolicy):
             if other.starvation_limit and other is not bucket and other.has_work():
                 other.skipped += 1
 
-    def find_work(self, worker: int) -> FoundWork | None:
+    def _search(self, worker: int) -> FoundWork | None:
         same, remote = self._same_domain[worker], self._remote[worker]
         for bucket in self._selection_order():
             found = fig1_search(bucket.queues, worker, same, remote)

@@ -71,17 +71,20 @@ class PriorityLocalScheduler(SchedulingPolicy):
             return self._low
         return self._normal[worker]
 
-    def enqueue_staged(self, task: Task, worker: int) -> None:
-        task.home_worker = worker
-        self._queue_for(task, worker).push_staged(task)
-
-    def enqueue_pending(self, task: Task, worker: int) -> None:
-        task.home_worker = worker
-        self._queue_for(task, worker).push_pending(task)
+    def _enqueue(self, task: Task, worker: int, *, pending: bool) -> None:
+        queue = self._queue_for(task, worker)
+        if pending:
+            queue.push_pending(task)
+        else:
+            queue.push_staged(task)
 
     # -- consumer ----------------------------------------------------------------
 
-    def find_work(self, worker: int) -> FoundWork | None:
+    def _empty_search_probes(self) -> int:
+        # Every normal and high-priority queue, and the low-priority one.
+        return len(self._normal) + len(self._high) + 1
+
+    def _search(self, worker: int) -> FoundWork | None:
         high = self._high
 
         # High-priority work owned by this worker comes first.

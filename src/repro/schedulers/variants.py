@@ -35,15 +35,16 @@ class StaticScheduler(SchedulingPolicy):
     def _build_queues(self) -> None:
         self._queues = [DualQueue() for _ in range(self.num_workers)]
 
-    def enqueue_staged(self, task: Task, worker: int) -> None:
-        task.home_worker = worker
-        self._queues[worker].push_staged(task)
+    def _enqueue(self, task: Task, worker: int, *, pending: bool) -> None:
+        queue = self._queues[worker]
+        if pending:
+            queue.push_pending(task)
+        else:
+            queue.push_staged(task)
 
-    def enqueue_pending(self, task: Task, worker: int) -> None:
-        task.home_worker = worker
-        self._queues[worker].push_pending(task)
-
-    def find_work(self, worker: int) -> FoundWork | None:
+    def _search(self, worker: int) -> FoundWork | None:
+        # Only the worker's own queue: a miss proves nothing about the
+        # others, so no _empty_search_probes, and no search is skipped.
         own = self._queues[worker]
         task = own.pop_pending()
         if task is not None:
@@ -86,17 +87,17 @@ class GlobalQueueScheduler(SchedulingPolicy):
     def _build_queues(self) -> None:
         self._queue = DualQueue()
 
-    def enqueue_staged(self, task: Task, worker: int) -> None:
-        task.home_worker = worker
+    def _enqueue(self, task: Task, worker: int, *, pending: bool) -> None:
         assert self._queue is not None
-        self._queue.push_staged(task)
+        if pending:
+            self._queue.push_pending(task)
+        else:
+            self._queue.push_staged(task)
 
-    def enqueue_pending(self, task: Task, worker: int) -> None:
-        task.home_worker = worker
-        assert self._queue is not None
-        self._queue.push_pending(task)
+    def _empty_search_probes(self) -> int:
+        return 1
 
-    def find_work(self, worker: int) -> FoundWork | None:
+    def _search(self, worker: int) -> FoundWork | None:
         assert self._queue is not None
         task = self._queue.pop_pending()
         if task is not None:
@@ -130,7 +131,11 @@ class NumaBlindStealingScheduler(StaticScheduler):
             return WorkSource.NUMA_STAGED if same else WorkSource.REMOTE_STAGED
         return WorkSource.NUMA_PENDING if same else WorkSource.REMOTE_PENDING
 
-    def find_work(self, worker: int) -> FoundWork | None:
+    def _empty_search_probes(self) -> int:
+        # Unlike its base class, every search reaches every worker's queue.
+        return self.num_workers
+
+    def _search(self, worker: int) -> FoundWork | None:
         queues = self._queues
         own = queues[worker]
         task = own.pop_pending()

@@ -4,7 +4,8 @@ These tests verify the harness machinery (runners produce well-formed
 FigureResults, the CLI drives them, markdown renders); the *scientific*
 shape checks are exercised at bench/default scale by the benchmarks and the
 EXPERIMENTS.md generation, because several shapes need more tasks per core
-than the smoke scale provides.
+than the smoke scale provides.  The Xeon Phi figures fig5 and fig10 also
+assert theirs at bench scale here, as slow tests.
 
 Some runners also pin their exact series against ``tests/golden/`` (see
 ``tests/_golden.py``), so a refactor that moves any reproduced value fails
@@ -93,19 +94,16 @@ class TestFigureRunnersSmoke:
             assert all(y > 0 for _, y in accesses.points)
         assert_golden(fig, "fig9")
 
-    @pytest.mark.slow
     def test_fig5_series_pinned(self):
         from repro.experiments import fig5_idle_rate_phi as exp
 
         assert_golden(exp.run(SMOKE), "fig5")
 
-    @pytest.mark.slow
     def test_fig8_series_pinned(self):
         from repro.experiments import fig8_decomposition_phi as exp
 
         assert_golden(exp.run(SMOKE), "fig8")
 
-    @pytest.mark.slow
     def test_fig10_series_pinned(self):
         from repro.experiments import fig10_pending_queue_phi as exp
 
@@ -127,6 +125,25 @@ class TestFigureRunnersSmoke:
         ]
         assert outcomes[0].slowdown == 1.0
         assert_golden(fig, "selection")
+
+
+class TestXeonPhiShapesAtBenchScale:
+    """The Xeon Phi figures' shape checks need bench scale's tasks per
+    core; each run takes a few seconds now that idle searches are O(1)."""
+
+    @pytest.mark.slow
+    def test_fig5_shape_checks(self):
+        from repro.experiments import fig5_idle_rate_phi as exp
+
+        problems = exp.shape_checks(exp.run(get_scale("bench")))
+        assert problems == [], problems
+
+    @pytest.mark.slow
+    def test_fig10_shape_checks(self):
+        from repro.experiments import fig10_pending_queue_phi as exp
+
+        problems = exp.shape_checks(exp.run(get_scale("bench")))
+        assert problems == [], problems
 
 
 class TestCli:

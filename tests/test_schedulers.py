@@ -1,7 +1,11 @@
 """Unit tests for queues and scheduling policies (incl. Fig. 1's order)."""
 
+from dataclasses import astuple
+
 import pytest
 
+from repro import fastpath
+from repro.overload.admission import AdmissionControl, AdmissionParams
 from repro.qos.scheduler import QosBucketScheduler
 from repro.rt.scheduler import EdfScheduler
 from repro.runtime.task import Priority, Task
@@ -15,7 +19,7 @@ from repro.schedulers.variants import (
     StaticScheduler,
 )
 from repro.sim.machine import Machine
-from repro.sim.platforms import HASWELL
+from repro.sim.platforms import HASWELL, XEON_PHI
 
 
 def task(name="t", priority=Priority.NORMAL) -> Task:
@@ -293,3 +297,138 @@ class TestRegistry:
 
     def test_paper_scheduler_is_default_registry_entry(self):
         assert SCHEDULERS["priority-local"] is PriorityLocalScheduler
+
+
+# -- the may-have-work bit: idle searches in O(1) ---------------------------------
+
+#: every registry entry at its default shape, plus Priority Local's (and its
+#: LIFO sibling's) one-high-priority-queue shape
+POLICY_SHAPES = [(name, None) for name in SCHEDULERS] + [
+    ("priority-local", 1),
+    ("priority-local-lifo", 1),
+]
+#: the shapes whose full miss proves every queue empty (not ``static``)
+SKIPPING_SHAPES = [shape for shape in POLICY_SHAPES if shape[0] != "static"]
+
+#: Xeon Phi has one NUMA domain; Haswell has two from 15 cores up
+MACHINES = [
+    (platform, cores)
+    for platform in (XEON_PHI, HASWELL)
+    for cores in (1, 4, 16)
+]
+
+
+def _shape_id(shape):
+    name, hp = shape
+    return name if hp is None else f"{name}-hp{hp}"
+
+
+def _machine_id(machine):
+    platform, cores = machine
+    return f"{platform.name}-{cores}"
+
+
+def build(shape, machine, *, reference=False):
+    name, hp = shape
+    platform, cores = machine
+    make = SCHEDULERS[name]
+    policy = make() if hp is None else make(num_high_priority_queues=hp)
+    if reference:
+        with fastpath.reference():
+            return attached(policy, cores, platform)
+    return attached(policy, cores, platform)
+
+
+def queue_stats(policy):
+    return [astuple(q.stats) for q in policy.queues()]
+
+
+def empty_search_delta(policy, worker):
+    """The ``aggregate_stats`` change of one search that finds nothing."""
+    before = astuple(policy.aggregate_stats())
+    assert policy.find_work(worker) is None
+    return [b - a for a, b in zip(before, astuple(policy.aggregate_stats()))]
+
+
+bit_matrix = pytest.mark.parametrize("machine", MACHINES, ids=_machine_id)
+
+
+@bit_matrix
+@pytest.mark.parametrize("shape", POLICY_SHAPES, ids=_shape_id)
+class TestMayHaveWorkBit:
+    def test_empty_search_charges_what_reference_mode_charges(self, shape, machine):
+        fast = build(shape, machine)
+        reference = build(shape, machine, reference=True)
+        for policy in (fast, reference):
+            assert policy.find_work(0) is None  # the full miss
+        for worker in range(machine[1]):
+            assert empty_search_delta(fast, worker) == empty_search_delta(
+                reference, worker
+            )
+
+    def test_pending_push_is_found_after_the_bit_cleared(self, shape, machine):
+        policy = build(shape, machine)
+        worker = machine[1] - 1
+        assert policy.find_work(worker) is None
+        resumed = task("resumed")
+        policy.enqueue_pending(resumed, worker)
+        found = policy.find_work(worker)
+        assert found is not None and found.task is resumed
+
+
+@bit_matrix
+@pytest.mark.parametrize("shape", SKIPPING_SHAPES, ids=_shape_id)
+@pytest.mark.parametrize("emptied_by", ["shed", "cancel"])
+def test_one_full_miss_clears_the_bit_after_tasks_are_removed(
+    shape, machine, emptied_by
+):
+    policy = build(shape, machine)
+    worker = machine[1] - 1
+    kept = task("kept")
+    policy.enqueue_staged(kept, worker)
+    if emptied_by == "shed":
+        # Attached after the first push, so rt-edf's lazy bucket is covered.
+        control = AdmissionControl(
+            AdmissionParams(max_depth=1, policy="shed"), now_fn=lambda: 0
+        )
+        for q in policy.queues():
+            control.attach(q)
+        policy.enqueue_staged(task("shed"), worker)  # a tie sheds the newcomer
+        assert control.stats.shed == 1
+        assert policy.find_work(worker).task is kept
+    else:
+        # A cancelled task is pulled like any other; the executor retires it.
+        kept.cancelled = True
+        assert policy.find_work(worker).task is kept
+    assert policy.queued_tasks() == 0
+    before = queue_stats(policy)
+    assert policy.find_work(0) is None  # the one full search
+    assert not policy._may_have_work
+    probed = queue_stats(policy)
+    assert (probed != before) == (policy._idle_probes > 0)
+    delta = empty_search_delta(policy, 0)
+    assert queue_stats(policy) == probed  # skipped: no queue touched
+    assert delta == [policy._idle_probes] * 4
+
+
+@bit_matrix
+def test_static_never_skips_a_search(machine):
+    policy = build(("static", None), machine)
+    last = machine[1] - 1
+    elsewhere = task("elsewhere")
+    policy.enqueue_staged(elsewhere, last)
+    if last > 0:
+        assert policy.find_work(0) is None  # misses its own queue only
+    assert policy.find_work(last).task is elsewhere
+    before = queue_stats(policy)
+    assert policy.find_work(0) is None
+    assert queue_stats(policy) != before  # the empty search still probed
+
+
+def test_reference_mode_catches_work_behind_a_clear_bit():
+    with fastpath.reference():
+        policy = attached(PriorityLocalScheduler(), cores=4)
+    assert policy.find_work(0) is None  # clears the bit
+    next(iter(policy.queues())).push_staged(task("bypassed"))  # no enqueue
+    with pytest.raises(fastpath.FastPathError, match="bypassed"):
+        policy.find_work(1)
