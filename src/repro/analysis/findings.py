@@ -173,6 +173,12 @@ RULES: dict[str, Rule] = {
             "copies unaccounted, or work amplification exceeds the "
             "speculation budget",
         ),
+        Rule(
+            "PF411", "fastpath-exact", Severity.ERROR,
+            "a fast path changed a number: the run's execution time or "
+            "counters differ from the same run in reference mode, or the "
+            "reference run caught a fast path's invariant failing",
+        ),
     ]
 }
 

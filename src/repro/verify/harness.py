@@ -47,7 +47,11 @@ graph the spec describes?" into an integer comparison.
    leave the structural fingerprint exact (PF403), conserve application
    tasks (PF402) and wire copies hedges included (PF401), balance the
    first-wins ledger (PF410), never let the crash quorum declare the
-   straggler, and replay bit-identically (PF406).
+   straggler, and replay bit-identically (PF406);
+10. **sim in reference mode** — the sim run again, built inside
+    :func:`repro.fastpath.reference`, so every fast path runs the code it
+    shortcuts and checks its own invariant: same execution time and the
+    same value for every counter (PF411).
 
 ``mutate`` is the planted-discrepancy hook the shrinker tests use: it may
 rewrite any backend's :class:`StructuralResult` before comparison, letting
@@ -59,6 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+from repro import fastpath
 from repro.analysis.dynamic import CheckError
 from repro.analysis.findings import Finding
 from repro.dist.runtime import DistConfig, DistRuntime
@@ -73,6 +78,7 @@ from repro.verify.invariants import (
     ANALYSIS_CLEAN,
     BACKENDS_AGREE,
     DEPENDENCY_ORDER_CONSERVED,
+    FASTPATH_EXACT,
     PARCELS_CONSERVED,
     RECOVERY_CONSERVED,
     RERUN_IDENTICAL,
@@ -564,6 +570,14 @@ def verify_spec(
         report.findings += RERUN_IDENTICAL.check(
             rt_first.result, rt_second.result
         )
+
+    # 10. the sim run with every fast path off and checked: same numbers
+    try:
+        with fastpath.reference():
+            _, reference_run = run_sim(spec)
+    except fastpath.FastPathError as exc:
+        reference_run = exc
+    report.findings += FASTPATH_EXACT.check(sim_run, reference_run)
 
     return report
 

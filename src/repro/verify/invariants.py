@@ -369,19 +369,23 @@ def _counter_diff(a: Mapping[str, float], b: Mapping[str, float]) -> str:
     return shown + (f" (+{hidden} more)" if hidden > 0 else "")
 
 
-def _rerun_violation(first: "RunResult", second: "RunResult") -> str | None:
+def _runs_differ(first: "RunResult", second: "RunResult") -> str | None:
+    """Where two runs differ: execution time first, then counters."""
     if first.execution_time_ns != second.execution_time_ns:
         return (
-            "rerun determinism violated: execution time "
-            f"{first.execution_time_ns} ns != {second.execution_time_ns} ns "
-            "for identical config and workload"
+            f"execution time {first.execution_time_ns} ns != "
+            f"{second.execution_time_ns} ns"
         )
     if dict(first.counters.values) != dict(second.counters.values):
-        return (
-            "rerun determinism violated: counters differ — "
-            + _counter_diff(first.counters.values, second.counters.values)
+        return "counters differ — " + _counter_diff(
+            first.counters.values, second.counters.values
         )
     return None
+
+
+def _rerun_violation(first: "RunResult", second: "RunResult") -> str | None:
+    diff = _runs_differ(first, second)
+    return None if diff is None else f"rerun determinism violated: {diff}"
 
 
 RERUN_IDENTICAL = Invariant(
@@ -389,6 +393,29 @@ RERUN_IDENTICAL = Invariant(
     "rerun-identical",
     "the same seed replays to bit-identical time and counters",
     _rerun_violation,
+)
+
+
+# -- PF411: fast paths change no number ------------------------------------------
+
+
+def _fastpath_violation(
+    fast: "RunResult", reference: "RunResult | AssertionError"
+) -> str | None:
+    """``reference`` is the same run built inside
+    :func:`repro.fastpath.reference`, or the error it raised there."""
+    if isinstance(reference, AssertionError):
+        return f"fast path not exact: the reference run raised: {reference}"
+    diff = _runs_differ(fast, reference)
+    return None if diff is None else f"fast path not exact: {diff}"
+
+
+FASTPATH_EXACT = Invariant(
+    "PF411",
+    "fastpath-exact",
+    "a run with the fast paths gives the time and counters of the same run "
+    "in reference mode",
+    _fastpath_violation,
 )
 
 
@@ -440,6 +467,7 @@ INVARIANTS: dict[str, Invariant] = {
         RECOVERY_CONSERVED,
         RT_CONSERVED,
         SPECULATION_CONSERVED,
+        FASTPATH_EXACT,
     )
 }
 
@@ -457,4 +485,5 @@ __all__ = [
     "RECOVERY_CONSERVED",
     "RT_CONSERVED",
     "SPECULATION_CONSERVED",
+    "FASTPATH_EXACT",
 ]

@@ -152,3 +152,21 @@ def test_shrinking_turns_qos_off():
 
     spec = WorkloadSpec(width=2, steps=1, scheduler="qos", use_qos=True)
     assert any(not c.use_qos for c in shrink_candidates(spec))
+
+
+def test_planted_idle_miscount_is_one_fastpath_finding(monkeypatch):
+    """An idle charge one probe too high moves no timing and no other
+    leg's verdict (every leg runs the same fast path); only the sim run
+    in reference mode sees it."""
+    from repro.schedulers.priority_local import PriorityLocalScheduler
+
+    declared = PriorityLocalScheduler._empty_search_probes
+    monkeypatch.setattr(
+        PriorityLocalScheduler,
+        "_empty_search_probes",
+        lambda self: declared(self) + 1,
+    )
+    spec = WorkloadSpec(seed=1, patterns=("stencil_1d",), width=4, steps=3)
+    report = verify_spec(spec)
+    assert [f.rule_id for f in report.findings] == ["PF411"]
+    assert "charged" in report.findings[0].message

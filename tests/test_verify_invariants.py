@@ -5,11 +5,13 @@ import pytest
 from repro.analysis.findings import RULES, Severity
 from repro.counters.registry import CounterSnapshot
 from repro.dist.runtime import DistRunResult
+from repro.fastpath import FastPathError
 from repro.runtime.runtime import RunResult
 from repro.verify.invariants import (
     ADMISSION_CONSERVED,
     ANALYSIS_CLEAN,
     DEPENDENCY_ORDER_CONSERVED,
+    FASTPATH_EXACT,
     INVARIANTS,
     PARCELS_CONSERVED,
     RECOVERY_CONSERVED,
@@ -275,3 +277,22 @@ def test_rerun_identical_compares_time_then_counters():
     assert RERUN_IDENTICAL.holds(a, same)
     assert "execution time" in RERUN_IDENTICAL.check(a, slower)[0].message
     assert "counters differ" in RERUN_IDENTICAL.check(a, other)[0].message
+
+
+# -- PF411 -----------------------------------------------------------------------
+
+
+def test_fastpath_exact_compares_time_then_counters_then_errors():
+    fast = _run_result({"/threads/count/pending-accesses": 8.0})
+    same = _run_result({"/threads/count/pending-accesses": 8.0})
+    slower = _run_result(
+        {"/threads/count/pending-accesses": 8.0}, execution_time_ns=2_000
+    )
+    recount = _run_result({"/threads/count/pending-accesses": 9.0})
+    assert FASTPATH_EXACT.holds(fast, same)
+    assert "execution time" in FASTPATH_EXACT.check(fast, slower)[0].message
+    message = FASTPATH_EXACT.check(fast, recount)[0].message
+    assert "/threads/count/pending-accesses: 8.0 != 9.0" in message
+    raised = FASTPATH_EXACT.check(fast, FastPathError("hid a task"))
+    assert [f.rule_id for f in raised] == ["PF411"]
+    assert "hid a task" in raised[0].message
