@@ -3,6 +3,7 @@ suspension, stealing, termination, and determinism."""
 
 import pytest
 
+from repro import fastpath
 from repro.counters.registry import CounterRegistry
 from repro.runtime.future import Future
 from repro.runtime.runtime import Runtime, RuntimeConfig
@@ -209,6 +210,27 @@ class TestSuspension:
         assert history == ["phase1", "phase2"]
         assert t.phases == 2
         assert t.state is TaskState.TERMINATED
+
+    def test_resume_while_the_other_worker_idles(self):
+        # Worker 0 misses once the suspender parks, which clears the
+        # policy's may-have-work bit, so the resume must set it again.
+        # Built in reference mode, a resume hidden behind a clear bit
+        # raises FastPathError instead of polling forever.
+        with fastpath.reference():
+            ex = make_executor(cores=2)
+        gate = Future("gate")
+        history = []
+
+        def suspender():
+            history.append("phase1")
+            yield gate
+            history.append("phase2")
+
+        ex.spawn(Task(suspender, work=FixedWork(100)), worker=0)
+        opener = Task(lambda: gate.set_value("open"), work=FixedWork(50_000))
+        ex.spawn(opener, worker=1)
+        ex.run()
+        assert history == ["phase1", "phase2"]
 
     def test_phase_counters_reflect_suspension(self):
         ex = make_executor(cores=1)
