@@ -205,10 +205,10 @@ class SchedulingPolicy:
         search is skipped and its probes go to the policy's tally.
         """
         if not self._may_have_work:
-            if not self._reference:
-                self._skipped_probes += self._idle_probes
-                return None
-            return self._checked_search(worker)
+            if self._reference:
+                return self._checked_search(worker)
+            self._skipped_probes += self._idle_probes
+            return None
         found = self._search(worker)
         if found is None and self._idle_probes is not None:
             self._may_have_work = False
