@@ -46,6 +46,14 @@ class TestFigureRunnersSmoke:
         assert all(s.points for s in series)
         assert_golden(fig, "fig3-sandy-bridge")
 
+    @pytest.mark.slow
+    def test_fig3_series_pinned(self):
+        # All four platforms at every paper core count: Priority Local on
+        # each machine shape the figures use (about 10 s).
+        from repro.experiments import fig3_execution_time as exp
+
+        assert_golden(exp.run(SMOKE), "fig3")
+
     def test_fig4_structure(self):
         from repro.experiments import fig4_idle_rate_haswell as exp
 
