@@ -99,11 +99,12 @@ class AdmissionStats:
 class AdmissionControl:
     """Shared controller gating staged admissions across a policy's queues.
 
-    One instance is attached to every :class:`DualQueue` of a scheduling
-    policy; each queue keeps its own deferred lane while bounds, policy,
-    statistics and the shed callback live here.  ``max_depth`` is
-    ``params.max_depth``, copied onto the instance because every admission
-    reads it.
+    A scheduling policy hands one instance to every :class:`DualQueue` it
+    builds (``SchedulingPolicy.attach(machine, admission)``), buckets
+    built on first use included; each queue keeps its own deferred lane
+    while bounds, policy, statistics and the shed callback live here.
+    ``max_depth`` is ``params.max_depth``, copied onto the instance because
+    every admission reads it.
     """
 
     def __init__(
@@ -118,19 +119,17 @@ class AdmissionControl:
         self.now_fn = now_fn
         self.on_shed = on_shed
         self.stats = AdmissionStats()
-        self._queues: list["DualQueue"] = []
-
-    # -- wiring ---------------------------------------------------------
-
-    def attach(self, queue: "DualQueue") -> None:
-        """Install this controller on ``queue``."""
-        queue.admission = self
-        self._queues.append(queue)
 
     @property
     def deferred_tasks(self) -> int:
-        """Tasks currently parked in deferred lanes (spill depth gauge)."""
-        return sum(len(q._deferred) for q in self._queues)
+        """Tasks currently parked in deferred lanes (spill depth gauge).
+
+        Exact without a queue list: only :meth:`offer` appends to a
+        deferred lane, counting one blocked or spilled task, and only
+        :meth:`drain` takes from one, counting one readmitted.
+        """
+        stats = self.stats
+        return stats.blocked + stats.spilled - stats.readmitted
 
     def register_counters(self, registry: "CounterRegistry") -> None:
         """Register the ``/overload`` counter family."""
@@ -237,12 +236,17 @@ class AdmissionControl:
         unclassed workloads), then QoS standing among equal priorities: a
         shed-ineligible class outranks every eligible one, and within the
         eligible a higher class ``rank`` resists eviction longer.  Tasks
-        without a QoS class tie with an eligible rank-0 class.
+        without a QoS class, or with a tag that has no QoS standing (such
+        as :class:`~repro.rt.scheduler.RtTag`), tie with an eligible rank-0
+        class.
         """
         qos = task.qos
         if qos is None:
             return (int(task.priority), 0, 0)
-        return (int(task.priority), 0 if qos.shed_eligible else 1, qos.rank)
+        try:
+            return (int(task.priority), 0 if qos.shed_eligible else 1, qos.rank)
+        except AttributeError:
+            return (int(task.priority), 0, 0)
 
     def _lowest_priority_staged(
         self, queue: "DualQueue", incoming: "Task"

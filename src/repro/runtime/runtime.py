@@ -197,19 +197,20 @@ class Runtime:
         )
         self.simulator = simulator if simulator is not None else Simulator()
         self.policy = config.resolve_scheduler()
-        self.executor = SimExecutor(
-            self.machine, self.policy, self.cost_model, self.registry,
-            self.simulator,
-        )
-        self.sampler = IntervalSampler(self.registry)
+        # The policy gates every queue it builds with this controller,
+        # buckets built on first use included.
+        control = None
         if config.overload is not None and config.overload.admission is not None:
             control = AdmissionControl(
-                config.overload.admission,
-                now_fn=lambda: self.simulator.now,
-                on_shed=self.executor.on_task_shed,
+                config.overload.admission, now_fn=lambda: self.simulator.now
             )
-            for q in self.policy.queues():
-                control.attach(q)
+        self.executor = SimExecutor(
+            self.machine, self.policy, self.cost_model, self.registry,
+            self.simulator, control,
+        )
+        self.sampler = IntervalSampler(self.registry)
+        if control is not None:
+            control.on_shed = self.executor.on_task_shed
             control.register_counters(self.registry)
         #: the run's event record (``config.trace``), or None
         self.trace: ExecutionTrace | None = None

@@ -28,7 +28,7 @@ rise (Sec. IV-A).
 from __future__ import annotations
 
 import inspect
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.counters.registry import CounterRegistry
 from repro.layer import Layer, implementers
@@ -39,6 +39,9 @@ from repro.schedulers.base import FoundWork, SchedulingPolicy, WorkSource
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import Event, Simulator
 from repro.sim.machine import Machine
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.overload.admission import AdmissionControl
 
 
 class DeadlockError(RuntimeError):
@@ -90,13 +93,14 @@ class SimExecutor:
         cost_model: CostModel,
         registry: CounterRegistry,
         simulator: Simulator | None = None,
+        admission: AdmissionControl | None = None,
     ) -> None:
         self.machine = machine
         self.policy = policy
         self.cost_model = cost_model
         self.registry = registry
         self.sim = simulator if simulator is not None else Simulator()
-        policy.attach(machine)
+        policy.attach(machine, admission)
         n = machine.num_cores
         self.workers = [_SimWorker(i) for i in range(n)]
         self._busy_count = 0

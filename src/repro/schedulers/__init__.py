@@ -16,6 +16,11 @@ the paper's Fig. 1:
 That order exists once, as :func:`repro.schedulers.base.fig1_search`; every
 NUMA-aware policy runs it over its own per-worker queues.
 
+A policy supplies only its queue layout, its routing and its search;
+:class:`repro.schedulers.base.SchedulingPolicy` builds each queue of the
+policy's ``queue_type``, gates it with the admission controller the policy
+was attached with, and lists, measures and pushes onto it.
+
 :mod:`repro.schedulers.variants` adds the comparison policies used by the
 ablation benchmarks (static/no-stealing, one global queue, NUMA-blind
 stealing); the paper motivates studying such scheduler/granularity

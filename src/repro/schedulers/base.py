@@ -10,6 +10,10 @@ NUMA-aware policy (Priority Local and the deadline-bucket presets) runs it
 over its own per-worker queues, with the steal orders that
 :meth:`SchedulingPolicy.attach` precomputes.
 
+Everything a policy does with its queues apart from choosing them is
+written once, in :class:`SchedulingPolicy`, which builds, gates, lists,
+measures and pushes onto every queue, buckets built on first use included.
+
 Idle searches cost O(1).  A policy keeps one *may have work* bit: every
 enqueue sets it, and only a full search that finds nothing clears it.
 While it is clear, :meth:`SchedulingPolicy.find_work` charges the probes
@@ -24,12 +28,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import astuple, dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import fastpath
 from repro.runtime.task import Task
 from repro.schedulers.queues import DualQueue, QueueStats
 from repro.sim.machine import Machine
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.overload.admission import AdmissionControl
 
 
 class WorkSource(enum.Enum):
@@ -129,15 +136,24 @@ class SchedulingPolicy:
 
     Lifecycle: construct, then :meth:`attach` to a machine (builds queues),
     then any number of enqueue/find_work calls from the executor.
-    Subclasses supply :meth:`_build_queues`, :meth:`_enqueue`,
-    :meth:`_search` and :meth:`queues`.
+    A subclass supplies its layout (:meth:`_build_queues`, which builds
+    every queue with :meth:`_new_queue`), its routing (:meth:`_queue_for`)
+    and its search (:meth:`_search`).
     """
 
     name: str = "abstract"
+    #: the class of every queue :meth:`_new_queue` builds
+    queue_type: type[DualQueue] = DualQueue
 
     def __init__(self) -> None:
         self.machine: Machine | None = None
         self.num_workers: int = 0
+        #: the admission controller each queue is built with (None: ungated)
+        self._admission: AdmissionControl | None = None
+        #: every queue, in build order
+        self._all_queues: list[DualQueue] = []
+        #: the queues homed on each worker
+        self._homed: list[list[DualQueue]] = []
         # Fig. 1 steal orders (steps 3-4 and 5-6), one tuple per worker.
         self._same_domain: list[tuple[int, ...]] = []
         self._remote: list[tuple[int, ...]] = []
@@ -156,12 +172,18 @@ class SchedulingPolicy:
 
     # -- setup ---------------------------------------------------------------
 
-    def attach(self, machine: Machine) -> None:
-        """Bind to ``machine`` and build one queue set per worker."""
+    def attach(
+        self, machine: Machine, admission: AdmissionControl | None = None
+    ) -> None:
+        """Bind to ``machine`` and build the policy's queues, each gated by
+        ``admission`` (None: the unbounded path)."""
         self.machine = machine
         self.num_workers = n = machine.num_cores
         self._same_domain = [machine.same_domain_cores(w) for w in range(n)]
         self._remote = [machine.remote_domain_cores(w) for w in range(n)]
+        self._admission = admission
+        self._all_queues = []
+        self._homed = [[] for _ in range(n)]
         self._build_queues()
         self._may_have_work = True
         self._skipped_probes = 0
@@ -169,7 +191,18 @@ class SchedulingPolicy:
         self._reference = fastpath.in_reference()
 
     def _build_queues(self) -> None:
+        """Build the policy's queues with :meth:`_new_queue`."""
         raise NotImplementedError
+
+    def _new_queue(self, home: int) -> DualQueue:
+        """Build one :attr:`queue_type` queue, gated by the controller
+        :meth:`attach` received, and register it in build order and under
+        worker ``home`` (0 for a shared queue).  Every queue a policy owns
+        comes from here, so none may be built and then discarded."""
+        queue = self.queue_type(admission=self._admission)
+        self._all_queues.append(queue)
+        self._homed[home].append(queue)
+        return queue
 
     def _empty_search_probes(self) -> int | None:
         """Queues one search probes, in each lane, when every queue is
@@ -194,6 +227,14 @@ class SchedulingPolicy:
     def _enqueue(self, task: Task, worker: int, *, pending: bool) -> None:
         """Push ``task`` onto the pending or staged lane of the queue the
         policy routes it to near ``worker``."""
+        queue = self._queue_for(task, worker)
+        if pending:
+            queue.push_pending(task)
+        else:
+            queue.push_staged(task)
+
+    def _queue_for(self, task: Task, worker: int) -> DualQueue:
+        """The queue ``task``, enqueued near ``worker``, goes to."""
         raise NotImplementedError
 
     # -- consumer interface -----------------------------------------------------
@@ -250,9 +291,9 @@ class SchedulingPolicy:
 
     # -- introspection -----------------------------------------------------------
 
-    def queues(self) -> Iterator[DualQueue]:
-        """All dual queues owned by the policy (for stats aggregation)."""
-        raise NotImplementedError
+    def queues(self) -> Sequence[DualQueue]:
+        """Every queue the policy owns, in build order."""
+        return self._all_queues
 
     def queued_tasks(self) -> int:
         """Tasks currently sitting in any queue (not active/suspended).
@@ -263,22 +304,19 @@ class SchedulingPolicy:
         checks must not treat them as gone.
         """
         return sum(
-            q.pending_len + q.staged_len + q.deferred_len for q in self.queues()
+            q.pending_len + q.staged_len + q.deferred_len for q in self._all_queues
         )
 
     def worker_queue_depth(self, worker: int) -> int:
         """Staged+pending depth of the queues homed on ``worker``.
 
         Feeds the per-worker ``/threads{...}/count/queue-depth`` gauge and
-        the overload governor.  Policies with per-worker queues override
-        this; the default suits single-shared-structure policies — the
-        whole depth is reported at worker 0 so totals are not
-        double-counted.  Deferred (cold) tasks are excluded: the gauge
-        measures the hot structures workers actually scan.
+        the overload governor.  Shared queues are homed on worker 0, so
+        totals are not double-counted.  Deferred (cold) tasks are
+        excluded: the gauge measures the hot structures workers actually
+        scan.
         """
-        if worker != 0:
-            return 0
-        return sum(q.pending_len + q.staged_len for q in self.queues())
+        return sum(q.pending_len + q.staged_len for q in self._homed[worker])
 
     def aggregate_stats(self) -> QueueStats:
         """Summed access/miss counts over every queue, plus the probes the
@@ -287,6 +325,6 @@ class SchedulingPolicy:
         """
         skipped = self._skipped_probes
         total = QueueStats(skipped, skipped, skipped, skipped)
-        for q in self.queues():
+        for q in self._all_queues:
             total.merge(q.stats)
         return total

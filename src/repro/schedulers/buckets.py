@@ -35,8 +35,6 @@ EdfScheduler`, one bucket per real-time task, which is job-level EDF).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.runtime.task import Task
 from repro.schedulers.base import FoundWork, SchedulingPolicy, fig1_search
 from repro.schedulers.queues import DualQueue
@@ -72,7 +70,7 @@ class DeadlineBucket:
     def __init__(
         self,
         index: int,
-        num_workers: int,
+        queues: list[DualQueue],
         *,
         latency_ns: int,
         rank: int = 0,
@@ -80,7 +78,8 @@ class DeadlineBucket:
         starvation_limit: int = 0,
     ) -> None:
         self.index = index
-        self.queues = [DualQueue() for _ in range(num_workers)]
+        #: one queue per worker, indexed by worker
+        self.queues = queues
         self.latency_ns = latency_ns
         self.rank = rank
         self.warp_ns = warp_ns
@@ -139,7 +138,8 @@ class DeadlineBucketScheduler(SchedulingPolicy):
         self._buckets = []
 
     def _add_bucket(self, **params: int) -> DeadlineBucket:
-        bucket = DeadlineBucket(len(self._buckets), self.num_workers, **params)
+        queues = [self._new_queue(w) for w in range(self.num_workers)]
+        bucket = DeadlineBucket(len(self._buckets), queues, **params)
         self._buckets.append(bucket)
         return bucket
 
@@ -205,15 +205,3 @@ class DeadlineBucketScheduler(SchedulingPolicy):
     def shared_structure_penalty_ns(self, active_workers: int) -> int:
         """Root-bucket EDF state is shared by every worker's dispatch."""
         return ROOT_CONTENTION_NS_PER_WORKER * max(0, active_workers - 1)
-
-    # -- introspection -------------------------------------------------------------
-
-    def queues(self) -> Iterator[DualQueue]:
-        for bucket in self._buckets:
-            yield from bucket.queues
-
-    def worker_queue_depth(self, worker: int) -> int:
-        return sum(
-            b.queues[worker].pending_len + b.queues[worker].staged_len
-            for b in self._buckets
-        )

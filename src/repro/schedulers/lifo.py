@@ -14,38 +14,31 @@ isolates the queue discipline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
 from repro.runtime.task import Task
 from repro.schedulers.priority_local import PriorityLocalScheduler
 from repro.schedulers.queues import DualQueue
 
 
+class _Stack(deque):
+    """A lane whose ``popleft`` takes the newest entry."""
+
+    popleft = deque.pop
+
+
 @dataclass
 class LifoDualQueue(DualQueue):
-    """Dual queue whose pops take the newest entry (LIFO)."""
+    """Dual queue whose pops take the newest entry (LIFO).
 
-    def pop_pending(self) -> Task | None:
-        admission = self.admission
-        if admission is not None:
-            admission.drain(self)
-        stats = self.stats
-        stats.pending_accesses += 1
-        if self._pending:
-            return self._pending.pop()
-        stats.pending_misses += 1
-        return None
+    Only the lanes differ, so every pop, drain and stat is
+    :class:`DualQueue`'s.  The deferred lane stays FIFO: admission
+    control re-admits parked work in arrival order.
+    """
 
-    def pop_staged(self) -> Task | None:
-        admission = self.admission
-        if admission is not None:
-            admission.drain(self)
-        stats = self.stats
-        stats.staged_accesses += 1
-        if self._staged:
-            return self._staged.pop()
-        stats.staged_misses += 1
-        return None
+    _staged: deque[Task] = field(default_factory=_Stack)
+    _pending: deque[Task] = field(default_factory=_Stack)
 
 
 class PriorityLocalLifoScheduler(PriorityLocalScheduler):
@@ -58,9 +51,4 @@ class PriorityLocalLifoScheduler(PriorityLocalScheduler):
     """
 
     name = "priority-local-lifo"
-
-    def _build_queues(self) -> None:
-        super()._build_queues()
-        self._normal = [LifoDualQueue() for _ in range(self.num_workers)]
-        self._high = [LifoDualQueue() for _ in range(len(self._high))]
-        self._low = LifoDualQueue()
+    queue_type = LifoDualQueue

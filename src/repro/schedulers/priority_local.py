@@ -28,8 +28,6 @@ context yet and is cheap to migrate between memory domains (Sec. I-B).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.runtime.task import Priority, Task
 from repro.schedulers.base import (
     FoundWork,
@@ -57,9 +55,10 @@ class PriorityLocalScheduler(SchedulingPolicy):
         hp = self._requested_hp_queues if self._requested_hp_queues is not None else n
         if not 1 <= hp <= n:
             raise ValueError(f"high-priority queue count {hp} outside 1..{n}")
-        self._normal = [DualQueue() for _ in range(n)]
-        self._high = [DualQueue() for _ in range(hp)]
-        self._low = DualQueue()
+        self._normal = [self._new_queue(w) for w in range(n)]
+        self._high = [self._new_queue(w) for w in range(hp)]
+        # Shared by every worker; worker 0's depth gauge counts it.
+        self._low = self._new_queue(0)
 
     # -- producers -------------------------------------------------------------
 
@@ -70,13 +69,6 @@ class PriorityLocalScheduler(SchedulingPolicy):
             assert self._low is not None
             return self._low
         return self._normal[worker]
-
-    def _enqueue(self, task: Task, worker: int, *, pending: bool) -> None:
-        queue = self._queue_for(task, worker)
-        if pending:
-            queue.push_pending(task)
-        else:
-            queue.push_staged(task)
 
     # -- consumer ----------------------------------------------------------------
 
@@ -124,27 +116,3 @@ class PriorityLocalScheduler(SchedulingPolicy):
         if task is not None:
             return FoundWork(task, WorkSource.LOW_PRIORITY)
         return None
-
-    # -- introspection -------------------------------------------------------------
-
-    def queues(self) -> Iterator[DualQueue]:
-        yield from self._normal
-        yield from self._high
-        if self._low is not None:
-            yield self._low
-
-    def worker_queue_depth(self, worker: int) -> int:
-        """Hot (staged+pending) depth of the queues homed on ``worker``.
-
-        Counts the worker's normal queue, its high-priority queue (if it
-        owns one) and — at worker 0, to keep totals exact — the global
-        low-priority queue.
-        """
-        q = self._normal[worker]
-        depth = q.pending_len + q.staged_len
-        if worker < len(self._high):
-            hq = self._high[worker]
-            depth += hq.pending_len + hq.staged_len
-        if worker == 0 and self._low is not None:
-            depth += self._low.pending_len + self._low.staged_len
-        return depth

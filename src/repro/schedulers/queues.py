@@ -11,11 +11,13 @@ and the counts register genuine scheduler activity rather than a model.
 
 Each queue optionally carries an :class:`repro.overload.admission.
 AdmissionControl` (``admission``; default ``None`` — the unbounded legacy
-path).  With a controller attached, new staged pushes go through its
-admission gate, overflow lands in the queue's *deferred* lane (``block`` /
-``spill`` policies), and every pop first re-admits deferred work while
-depth allows.  ``push_pending`` is never gated: resumed tasks already
-hold contexts and must not deadlock behind their own backpressure.
+path), which a policy hands to every queue it builds
+(:meth:`repro.schedulers.base.SchedulingPolicy._new_queue`).  With a
+controller, new staged pushes go through its admission gate, overflow
+lands in the queue's *deferred* lane (``block`` / ``spill`` policies), and
+every pop first re-admits deferred work while depth allows.
+``push_pending`` is never gated: resumed tasks already hold contexts and
+must not deadlock behind their own backpressure.
 """
 
 from __future__ import annotations

@@ -16,8 +16,6 @@ same simulated platforms:
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.runtime.task import Task
 from repro.schedulers.base import FoundWork, SchedulingPolicy, WorkSource
 from repro.schedulers.queues import DualQueue
@@ -33,14 +31,10 @@ class StaticScheduler(SchedulingPolicy):
         self._queues: list[DualQueue] = []
 
     def _build_queues(self) -> None:
-        self._queues = [DualQueue() for _ in range(self.num_workers)]
+        self._queues = [self._new_queue(w) for w in range(self.num_workers)]
 
-    def _enqueue(self, task: Task, worker: int, *, pending: bool) -> None:
-        queue = self._queues[worker]
-        if pending:
-            queue.push_pending(task)
-        else:
-            queue.push_staged(task)
+    def _queue_for(self, task: Task, worker: int) -> DualQueue:
+        return self._queues[worker]
 
     def _search(self, worker: int) -> FoundWork | None:
         # Only the worker's own queue: a miss proves nothing about the
@@ -53,13 +47,6 @@ class StaticScheduler(SchedulingPolicy):
         if task is not None:
             return FoundWork(task, WorkSource.LOCAL_STAGED)
         return None
-
-    def queues(self) -> Iterator[DualQueue]:
-        yield from self._queues
-
-    def worker_queue_depth(self, worker: int) -> int:
-        q = self._queues[worker]
-        return q.pending_len + q.staged_len
 
 
 class GlobalQueueScheduler(SchedulingPolicy):
@@ -85,14 +72,12 @@ class GlobalQueueScheduler(SchedulingPolicy):
         return self.CONTENTION_NS_PER_WORKER * max(0, active_workers - 1)
 
     def _build_queues(self) -> None:
-        self._queue = DualQueue()
+        # Shared by every worker; worker 0's depth gauge counts it.
+        self._queue = self._new_queue(0)
 
-    def _enqueue(self, task: Task, worker: int, *, pending: bool) -> None:
+    def _queue_for(self, task: Task, worker: int) -> DualQueue:
         assert self._queue is not None
-        if pending:
-            self._queue.push_pending(task)
-        else:
-            self._queue.push_staged(task)
+        return self._queue
 
     def _empty_search_probes(self) -> int:
         return 1
@@ -106,10 +91,6 @@ class GlobalQueueScheduler(SchedulingPolicy):
         if task is not None:
             return FoundWork(task, WorkSource.LOCAL_STAGED)
         return None
-
-    def queues(self) -> Iterator[DualQueue]:
-        if self._queue is not None:
-            yield self._queue
 
 
 class NumaBlindStealingScheduler(StaticScheduler):

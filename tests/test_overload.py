@@ -43,11 +43,15 @@ from repro.qos import (
     Tenant,
     run_qos_service,
 )
+from repro.rt.scheduler import RtTag
 from repro.runtime.runtime import Runtime, RuntimeConfig
 from repro.runtime.task import Priority, Task
 from repro.runtime.work import FixedWork
+from repro.schedulers import SCHEDULERS, PriorityLocalScheduler, make_scheduler
 from repro.schedulers.queues import DualQueue
 from repro.sim.engine import Simulator
+from repro.sim.machine import Machine
+from repro.sim.platforms import HASWELL
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +212,7 @@ class TestShedVictimSelection:
             now_fn=lambda: 0,
             on_shed=lambda task, err: shed_log.append((task, err)),
         )
-        queue = DualQueue()
-        control.attach(queue)
+        queue = DualQueue(admission=control)
         return control, queue
 
     def test_high_priority_evicts_newest_low(self):
@@ -260,8 +263,7 @@ class TestClassAwareShedVictim:
             now_fn=lambda: 0,
             on_shed=lambda task, err: shed_log.append(task.name),
         )
-        queue = DualQueue()
-        control.attach(queue)
+        queue = DualQueue(admission=control)
         return control, queue
 
     def _classes(self):
@@ -341,6 +343,86 @@ class TestClassAwareShedVictim:
         incoming = Task(None, name="hi", priority=Priority.HIGH, qos=batch)
         queue.push_staged(incoming)
         assert shed_log == ["ni"]
+
+
+# ---------------------------------------------------------------------------
+# every queue a policy builds is gated, whatever tag its tasks carry
+# ---------------------------------------------------------------------------
+
+
+def _shed_run(scheduler: str, qos=None):
+    """40 tasks spawned at t=0 on 2 Haswell cores, at most 2 per queue."""
+    rt = Runtime(
+        RuntimeConfig(
+            platform="haswell",
+            num_cores=2,
+            scheduler=scheduler,
+            overload=OverloadConfig(
+                admission=AdmissionParams(max_depth=2, policy="shed")
+            ),
+        )
+    )
+    for k in range(40):
+        rt.async_(lambda: None, work=FixedWork(10_000), name=f"t{k}", qos=qos)
+    return rt.run()
+
+
+@pytest.mark.parametrize("scheduler", list(SCHEDULERS))
+class TestEveryPolicyIsGated:
+    def test_every_offered_task_completes_or_is_shed(self, scheduler):
+        result = _shed_run(scheduler)
+        assert result.tasks_offered == 40
+        assert result.tasks_offered == result.tasks_completed + result.tasks_shed
+        assert result.tasks_shed > 0
+
+    def test_a_real_time_tag_sheds_as_no_tag_does(self, scheduler):
+        # An RtTag has no QoS standing: it ties with an eligible rank-0
+        # class, as an untagged task does.
+        tagged = _shed_run(scheduler, RtTag(absolute_deadline_ns=0, bucket_key="rt"))
+        untagged = _shed_run(scheduler)
+        assert tagged.tasks_shed == untagged.tasks_shed > 0
+        assert tagged.tasks_offered == untagged.tasks_offered == 40
+        assert tagged.tasks_completed == untagged.tasks_completed
+
+
+def test_buckets_built_on_first_use_are_gated():
+    control = AdmissionControl(AdmissionParams(max_depth=2), now_fn=lambda: 0)
+    policy = make_scheduler("rt-edf")
+    policy.attach(Machine(HASWELL, 2), control)
+    assert not policy.queues()  # rt-edf builds a bucket on its first push
+    policy.enqueue_staged(Task(None, name="tagged", qos=RtTag(0, "rt")), 0)
+    policy.enqueue_staged(Task(None, name="untagged"), 1)
+    assert len(policy.queues()) == 4  # two buckets of one queue per worker
+    assert all(q.admission is control for q in policy.queues())
+    assert control.stats.offered == 2
+
+
+@pytest.mark.parametrize("overflow", ["block", "spill"])
+def test_spill_depth_gauge_is_the_summed_deferred_lanes(overflow):
+    control = AdmissionControl(
+        AdmissionParams(max_depth=2, policy=overflow), now_fn=lambda: 0
+    )
+    registry = CounterRegistry()
+    control.register_counters(registry)
+    policy = PriorityLocalScheduler()
+    policy.attach(Machine(HASWELL, 2), control)
+
+    def gauge_matches_lanes() -> int:
+        deferred = sum(q.deferred_len for q in policy.queues())
+        gauge = registry.snapshot().get("/overload/count/spill-depth@gauge")
+        assert gauge == deferred
+        return deferred
+
+    for k in range(8):
+        policy.enqueue_staged(Task(None, name=f"t{k}"), k % 2)
+        gauge_matches_lanes()
+    assert gauge_matches_lanes() == 4  # two over the bound on each worker
+    popped = 0
+    while policy.find_work(popped % 2) is not None:
+        popped += 1
+        gauge_matches_lanes()
+    assert popped == 8
+    assert gauge_matches_lanes() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -392,7 +392,7 @@ def test_one_full_miss_clears_the_bit_after_tasks_are_removed(
             AdmissionParams(max_depth=1, policy="shed"), now_fn=lambda: 0
         )
         for q in policy.queues():
-            control.attach(q)
+            q.admission = control
         policy.enqueue_staged(task("shed"), worker)  # a tie sheds the newcomer
         assert control.stats.shed == 1
         assert policy.find_work(worker).task is kept
