@@ -5,8 +5,11 @@ via the ``mutate`` hook is caught by the backend-divergence invariant,
 shrunk to a <= 4-task reproducer, and replays deterministically.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.schedulers import SCHEDULERS
 from repro.verify.harness import (
     StructuralResult,
     expected_result,
@@ -115,6 +118,19 @@ def test_fuzz_corpus_head_is_clean():
     the in-tests mirror of ``make fuzz`` (which runs seeds 0:50)."""
     for seed in range(6):
         report = verify_spec(generate_spec(seed))
+        assert report.ok, (seed, [f.format() for f in report.findings])
+
+
+@pytest.mark.parametrize("scheduler", list(SCHEDULERS))
+def test_corpus_head_is_clean_under_every_policy(scheduler):
+    """The corpus draws four of the registered policies; these reruns of
+    its first specs put every policy, ``static``, ``numa-blind`` and
+    ``rt-edf`` included, through the ladder and PF411's reference leg."""
+    for seed in range(4):
+        spec = dataclasses.replace(
+            generate_spec(seed), scheduler=scheduler, use_qos=False
+        )
+        report = verify_spec(spec)
         assert report.ok, (seed, [f.format() for f in report.findings])
 
 
