@@ -57,10 +57,30 @@ def test_scheduler_find_work_hit(benchmark):
 
 
 def test_scheduler_find_work_full_miss(benchmark):
-    """One find_work scan over every queue of an empty 28-worker system."""
+    """One find_work scan over every queue of an empty 28-worker system.
+
+    Each round sets the may-have-work bit again, as an enqueue would, so
+    every round runs the full search rather than the skip.
+    """
     policy = PriorityLocalScheduler()
     policy.attach(Machine(HASWELL, 28))
+
+    def run():
+        policy._may_have_work = True
+        return policy.find_work(0)
+
+    assert benchmark(run) is None
+
+
+def test_scheduler_find_work_skipped_miss(benchmark):
+    """One find_work on an empty 28-worker system after a full miss has
+    cleared the may-have-work bit: the search is skipped and only its
+    probes are charged."""
+    policy = PriorityLocalScheduler()
+    policy.attach(Machine(HASWELL, 28))
+    assert policy.find_work(0) is None  # the full miss clears the bit
     assert benchmark(lambda: policy.find_work(0)) is None
+    assert not policy._may_have_work
 
 
 def test_dataflow_graph_construction(benchmark):
