@@ -56,7 +56,11 @@ from repro.experiments.figH_tail_tolerance import (
 )
 from repro.experiments.report import FigureResult, Series
 from repro.recovery import RecoveryConfig
-from repro.verify.invariants import PARCELS_CONSERVED, RECOVERY_CONSERVED
+from repro.verify.invariants import (
+    PARCELS_CONSERVED,
+    RECOVERY_CONSERVED,
+    RERUN_IDENTICAL,
+)
 
 FIGURE_ID = "figC"
 TITLE = "Crash recovery: best checkpoint interval vs grain (simulated Haswell)"
@@ -299,11 +303,7 @@ def run(scale: Scale) -> FigureResult:
         steps, grain, crash_at_ns=crash_at,
         checkpoint_interval_ns=INTERVALS_NS[1],
     )
-    deterministic = (
-        v1 == v2
-        and first.execution_time_ns == second.execution_time_ns
-        and first.counters.values == second.counters.values
-    )
+    deterministic = v1 == v2 and RERUN_IDENTICAL.holds(first, second)
     fig.add_series(
         summary,
         Series(

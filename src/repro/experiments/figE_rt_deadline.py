@@ -49,6 +49,7 @@ from repro.rt import (
     TaskSet,
     run_rt_service,
 )
+from repro.verify.invariants import RERUN_IDENTICAL
 
 FIGURE_ID = "figE"
 TITLE = "Deadline-miss rate vs task grain across overhead regimes"
@@ -232,8 +233,7 @@ def run(scale: Scale) -> FigureResult:
     rerun = _cell(ts, VALLEY_GRAIN_NS, scheduler="rm", protocol="none")
     deterministic = (
         first.missed_jobs() == rerun.missed_jobs()
-        and first.result.execution_time_ns == rerun.result.execution_time_ns
-        and first.result.counters.values == rerun.result.counters.values
+        and RERUN_IDENTICAL.holds(first.result, rerun.result)
         and all(
             first.stats[i].lateness_ns == rerun.stats[i].lateness_ns
             for i in first.stats

@@ -54,7 +54,11 @@ from repro.faults.plan import Straggler
 from repro.recovery import RecoveryConfig
 from repro.runtime.future import Future
 from repro.runtime.work import FixedWork
-from repro.verify.invariants import PARCELS_CONSERVED, SPECULATION_CONSERVED
+from repro.verify.invariants import (
+    PARCELS_CONSERVED,
+    RERUN_IDENTICAL,
+    SPECULATION_CONSERVED,
+)
 
 FIGURE_ID = "figH"
 TITLE = "Tail tolerance: grain vs straggler severity (simulated Haswell)"
@@ -367,8 +371,7 @@ def run(scale: Scale) -> FigureResult:
     )
     deterministic = (
         v1 == v2
-        and first.execution_time_ns == second.execution_time_ns
-        and first.counters.values == second.counters.values
+        and RERUN_IDENTICAL.holds(first, second)
         and first.tasks_speculated == second.tasks_speculated
         and first.hedges_sent == second.hedges_sent
     )

@@ -63,6 +63,7 @@ from repro.taskbench import TaskBenchSpec, run_taskbench_dist
 from repro.verify.invariants import (
     ADMISSION_CONSERVED,
     PARCELS_CONSERVED,
+    RERUN_IDENTICAL,
     SPILL_CONSERVED,
 )
 
@@ -375,17 +376,11 @@ def run(scale: Scale) -> FigureResult:
     # -- summary: determinism and conservation ------------------------------
     shed_a = _offered_run(scale, max(UTILIZATIONS), "shed")
     shed_b = _offered_run(scale, max(UTILIZATIONS), "shed")
-    admission_deterministic = (
-        shed_a.result.execution_time_ns == shed_b.result.execution_time_ns
-        and shed_a.result.counters.values == shed_b.result.counters.values
-    )
+    admission_deterministic = RERUN_IDENTICAL.holds(shed_a.result, shed_b.result)
     breaker_rerun = _dist_stencil(
         scale, breaker=BREAKER, faults=_degradation_plan()
     )
-    breaker_deterministic = (
-        breaker_rerun.execution_time_ns == degraded_breaker.execution_time_ns
-        and breaker_rerun.counters.values == degraded_breaker.counters.values
-    )
+    breaker_deterministic = RERUN_IDENTICAL.holds(breaker_rerun, degraded_breaker)
     summary = "summary"
     fig.add_series(
         summary,

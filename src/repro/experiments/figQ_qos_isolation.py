@@ -45,6 +45,7 @@ from repro.qos import (
     default_classes,
     run_qos_service,
 )
+from repro.verify.invariants import RERUN_IDENTICAL
 
 FIGURE_ID = "figQ"
 TITLE = "QoS priority isolation: interactive p99 under background overload"
@@ -200,8 +201,7 @@ def run(scale: Scale) -> FigureResult:
     # -- summary: determinism and conservation ------------------------------
     rerun = _service_run(scale, max(UTILIZATIONS))
     deterministic = (
-        rerun.result.execution_time_ns == heaviest.result.execution_time_ns
-        and rerun.result.counters.values == heaviest.result.counters.values
+        RERUN_IDENTICAL.holds(rerun.result, heaviest.result)
         and all(
             rerun.stats[tid].sojourn_ns == heaviest.stats[tid].sojourn_ns
             for tid in rerun.stats

@@ -45,7 +45,7 @@ from repro.core.characterize import default_partition_sweep
 from repro.dist import DistConfig, DistRunResult, FaultPlan, RetryParams
 from repro.experiments.config import Scale
 from repro.experiments.report import FigureResult, Series
-from repro.verify.invariants import PARCELS_CONSERVED
+from repro.verify.invariants import PARCELS_CONSERVED, RERUN_IDENTICAL
 
 FIGURE_ID = "figR"
 TITLE = "Resilience vs grain: faults move the U-curve minimum (simulated Haswell)"
@@ -236,10 +236,7 @@ def run(scale: Scale) -> FigureResult:
     mid_grain = grains[len(grains) // 2]
     first = _run_one(scale, max(DROP_RATES), mid_grain, steps)
     second = _run_one(scale, max(DROP_RATES), mid_grain, steps)
-    deterministic = (
-        first.execution_time_ns == second.execution_time_ns
-        and first.counters.values == second.counters.values
-    )
+    deterministic = RERUN_IDENTICAL.holds(first, second)
     fig.add_series(
         summary,
         Series(
