@@ -45,7 +45,7 @@ where ``deferred_pending`` is zero once a run drains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.overload.errors import TaskShedError
