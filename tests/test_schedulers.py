@@ -291,6 +291,18 @@ class TestRegistry:
             policy.attach(Machine(HASWELL, 2))
             assert policy.find_work(0) is None
 
+    def test_a_second_attach_starts_clean(self):
+        # The base class registers every queue a policy builds; attaching
+        # again must drop the first machine's queues, not add to them.
+        for name in SCHEDULERS:
+            policy = attached(make_scheduler(name), cores=2)
+            policy.enqueue_staged(task(), 1)
+            attached(policy, cores=2)
+            fresh = attached(make_scheduler(name), cores=2)
+            assert len(policy.queues()) == len(fresh.queues())
+            assert policy.queued_tasks() == 0
+            assert policy.worker_queue_depth(1) == 0
+
     def test_unknown_scheduler(self):
         with pytest.raises(KeyError, match="unknown scheduler"):
             make_scheduler("fifo-lifo")
