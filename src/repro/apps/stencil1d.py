@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.collector import paused
 from repro.runtime.future import Future, make_ready_future
 from repro.runtime.runtime import RunResult, Runtime, RuntimeConfig
 from repro.runtime.work import StencilWork
@@ -133,6 +134,7 @@ def serial_reference(
     return u
 
 
+@paused()
 def build_stencil_graph(
     runtime: Runtime, config: StencilConfig
 ) -> list[Future]:
@@ -207,6 +209,7 @@ class StencilOutcome:
         return np.concatenate(self.final_partitions)
 
 
+@paused()
 def run_stencil(
     runtime_config: RuntimeConfig, config: StencilConfig
 ) -> StencilOutcome:

@@ -36,6 +36,7 @@ from repro.apps.stencil1d import (
     heat_partition,
     initial_partitions,
 )
+from repro.collector import paused
 from repro.dist.runtime import DistConfig, DistRuntime
 from repro.runtime.future import Future
 from repro.runtime.work import StencilWork
@@ -121,6 +122,7 @@ def _right_edge(value: Any) -> Any:
     return value[-1] if isinstance(value, np.ndarray) else value
 
 
+@paused()
 def build_dist_stencil_graph(
     dist: DistRuntime, config: DistStencilConfig
 ) -> list[Future]:
@@ -190,6 +192,7 @@ def build_dist_stencil_graph(
     return current
 
 
+@paused()
 def run_dist_stencil(
     dist_config: DistConfig, config: DistStencilConfig
 ) -> StencilOutcome:

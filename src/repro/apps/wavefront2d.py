@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.collector import paused
 from repro.runtime.future import Future, make_ready_future
 from repro.runtime.runtime import RunResult, Runtime, RuntimeConfig
 from repro.runtime.work import FixedWork
@@ -116,6 +117,7 @@ def serial_alignment_score(a: np.ndarray, b: np.ndarray) -> int:
     return int(last_row[-1])
 
 
+@paused()
 def run_wavefront(
     runtime_config: RuntimeConfig, config: WavefrontConfig
 ) -> tuple[RunResult, int | None]:

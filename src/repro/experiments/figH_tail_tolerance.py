@@ -40,6 +40,7 @@ every straggled tail-on cell must have actually flagged the straggler.
 
 from __future__ import annotations
 
+from repro.collector import paused
 from repro.dist import (
     DistConfig,
     DistRunResult,
@@ -139,6 +140,7 @@ def serial_reference(steps: int, width: int) -> list[float]:
     return [v for row in vals for v in row]
 
 
+@paused()
 def build_workload(
     runtime: DistRuntime, steps: int, width: int, *, grain_ns: int | None = None
 ) -> list[Future]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.collector import paused
 from repro.overload.config import OverloadConfig
 from repro.overload.errors import TaskShedError
 from repro.qos.classes import (
@@ -115,6 +116,7 @@ def _resolve_policy(
     return QosBucketScheduler(classes=list(seen.values()))  # type: ignore[arg-type]
 
 
+@paused()
 def run_qos_service(
     tenants: list[Tenant] | tuple[Tenant, ...],
     config: QosServiceConfig | None = None,

@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from repro.collector import paused
 from repro.counters.registry import CounterRegistry
 from repro.rt.model import TaskSet
 from repro.rt.resources import PROTOCOLS, ResourceManager, ResourceStats
@@ -352,6 +353,7 @@ def _scaled_platform(cfg: RtServiceConfig):
     return dataclasses.replace(spec, costs=costs)
 
 
+@paused()
 def run_rt_service(
     taskset: TaskSet,
     config: RtServiceConfig | None = None,

@@ -9,13 +9,17 @@ Design constraints:
 - **Throughput** — a fine-grained sweep executes hundreds of thousands of
   simulated tasks; the hot path is ``heapq`` push/pop of plain tuples with no
   allocation beyond the tuple itself (guides: profile first, keep the inner
-  loop allocation-light).
+  loop allocation-light).  ``run`` and ``run_until`` pause the cyclic
+  garbage collector (:mod:`repro.collector`), which would otherwise walk
+  the whole live task graph again and again.
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Callable
+
+from repro.collector import paused
 
 
 class Event:
@@ -85,6 +89,7 @@ class Simulator:
             return True
         return False
 
+    @paused()
     def run(self, max_events: int | None = None) -> int:
         """Drain the event heap; returns the number of events fired.
 
@@ -103,6 +108,7 @@ class Simulator:
                 break
         return fired
 
+    @paused()
     def run_until(self, deadline_ns: int) -> int:
         """Fire events with time <= deadline, then set the clock to it."""
         heap = self._heap

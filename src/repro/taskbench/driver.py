@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
+from repro.collector import paused
 from repro.dist.runtime import DistConfig, DistRunResult, DistRuntime
 from repro.runtime.future import Future
 from repro.runtime.runtime import RunResult, Runtime, RuntimeConfig
@@ -71,6 +72,7 @@ def make_placement(
     return lambda i: i * num_localities // width
 
 
+@paused()
 def build_taskbench_graph(
     rt: Runtime | ThreadRuntime | DistRuntime,
     spec: TaskBenchSpec,
@@ -131,6 +133,7 @@ def _verify(futures: Sequence[Future], spec: TaskBenchSpec) -> None:
         )
 
 
+@paused()
 def run_taskbench(config: RuntimeConfig, spec: TaskBenchSpec) -> RunResult:
     """Run ``spec`` on a fresh simulated :class:`Runtime`."""
     rt = Runtime(config)
@@ -170,6 +173,7 @@ def run_taskbench_threads(
     return len(futures)
 
 
+@paused()
 def run_taskbench_dist(
     dist_config: DistConfig,
     spec: TaskBenchSpec,

@@ -66,6 +66,7 @@ from typing import Callable
 from repro import fastpath
 from repro.analysis.dynamic import CheckError
 from repro.analysis.findings import Finding
+from repro.collector import paused
 from repro.dist.runtime import DistConfig, DistRuntime
 from repro.faults.plan import CrashAt, FaultPlan, Straggler, stream_u64
 from repro.faults.transport import RetryParams
@@ -168,6 +169,7 @@ def _phase_task(spec: WorkloadSpec, phase: int, pattern_name: str, qos_classes):
     return task
 
 
+@paused()
 def build_verify_graph(rt, spec: WorkloadSpec, *, placement=None):
     """Lower ``spec`` onto any runtime, each phase one Task Bench grid;
     returns ``[(phase, step, index, future), ...]`` so the fold knows each
