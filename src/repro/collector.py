@@ -6,9 +6,12 @@ ends.  With the collector on, every young collection and, ever more
 often, every full one walks that growing live graph again, so on the
 fine-grain side most of a graph build's host time went to the collector.
 :func:`paused` turns automatic collection off for a block.  It wraps the
-graph builders, the functions that build and run in one call, and
-:meth:`repro.sim.engine.Simulator.run`/``run_until``, the loop every
-simulated runtime runs in.
+graph builders, :meth:`repro.sim.engine.Simulator.run`/``run_until`` (the
+loop every simulated runtime runs in), and the functions that build and
+run in one call, so that their one exit collection runs after the graph
+is freed instead of walking it, still live, at the end of the build.
+Pausing each task's submission instead would do nothing: the allocation
+count carries over, so the first allocation after the pause collects.
 
 On the way out the pause turns the collector back on and collects the
 young generation once, the collection it put off.  It collects only the
