@@ -244,6 +244,11 @@ def collection_observers(source: str, path: Path) -> list[str]:
 
 
 class TestNothingObservesACollection:
+    """The pause is exact only while this holds: a ``__del__`` or a weak
+    reference's callback runs when a collection frees its object, and a
+    ``gc`` call can see what is still alive, so any of them would let a
+    result depend on when the pause lets collections run."""
+
     def test_src_has_no_del_no_weakref_and_one_gc_import(self):
         found = []
         for path in sorted((SRC / "repro").rglob("*.py")):
