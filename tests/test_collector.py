@@ -199,7 +199,7 @@ def test_fine_grain_stencil_build_runs_one_young_collection():
     assert len(finals) == config.num_partitions
 
 
-# -- the exactness guard -------------------------------------------------------
+# -- the exactness guard ------------------------------------------------------
 
 
 def _imported(node: ast.AST) -> list[str]:
@@ -211,7 +211,7 @@ def _imported(node: ast.AST) -> list[str]:
         return [node.module] if node.module and not node.level else []
     if isinstance(node, ast.Call) and node.args:
         func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
         arg = node.args[0]
         if name in ("__import__", "import_module") and isinstance(
             arg, ast.Constant
