@@ -12,10 +12,10 @@ install:
 	pip install -e . || python setup.py develop
 
 test:
-	PYTHONPATH=src pytest tests/ --timeout=600
+	PYTHONPATH=src pytest tests/ -q --timeout=600
 
 test-fast:
-	PYTHONPATH=src pytest tests/ -m "not slow" --timeout=600
+	PYTHONPATH=src pytest tests/ -q -m "not slow" --timeout=600
 
 # Task-graph lint (docs/analysis.md) over everything we ship as example
 # code; CI requires zero findings here.

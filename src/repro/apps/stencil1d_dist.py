@@ -94,23 +94,6 @@ class DistStencilConfig(StencilConfig):
             owners.extend([loc] * (base + (1 if loc < extra else 0)))
         return owners
 
-    def cross_halos_per_step(self, num_localities: int) -> int:
-        """Cross-locality halo parcels per time step.
-
-        Block decomposition crosses the network only at its 2·L block
-        boundaries; cyclic decomposition crosses at (nearly) every
-        partition boundary, so its count scales with the partition count.
-        Computed exactly: 2 parcels per adjacent-partition pair with
-        distinct owners (one halo in each direction).
-        """
-        if num_localities == 1:
-            return 0
-        owners = self.owners(num_localities)
-        n = len(owners)
-        return 2 * sum(
-            1 for i in range(n) if owners[i] != owners[(i + 1) % n]
-        )
-
 
 def _left_edge(value: Any) -> Any:
     """The edge a partition exposes to its *left* neighbour (first point)."""

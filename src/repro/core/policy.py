@@ -187,7 +187,6 @@ class PolicyEngine:
         self.runtime = runtime
         self.interval_ns = interval_ns
         self.policies: list[Policy] = []
-        self.samples_taken = 0
 
     def add_policy(self, policy: Policy) -> "PolicyEngine":
         self.policies.append(policy)
@@ -202,7 +201,6 @@ class PolicyEngine:
         def tick() -> None:
             now = rt.simulator.now
             sample = rt.sampler.sample(now)
-            self.samples_taken += 1
             ctx.now_ns = now
             for policy in self.policies:
                 policy.on_sample(sample, ctx)

@@ -40,10 +40,6 @@ class WorkerUtilization:
     def exec_fraction(self) -> float:
         return self.exec_ns / self.total_ns if self.total_ns else 0.0
 
-    @property
-    def idle_fraction(self) -> float:
-        return self.idle_ns / self.total_ns if self.total_ns else 0.0
-
 
 def worker_utilization(trace: ExecutionTrace) -> list[WorkerUtilization]:
     """Per-worker exec/management/idle accounting over [0, finish]."""

@@ -101,11 +101,6 @@ class TunerResult:
     def epochs(self) -> int:
         return len(self.steps)
 
-    def best_observed(self) -> TunerStep:
-        if not self.steps:
-            raise ValueError("tuner never ran")
-        return min(self.steps, key=lambda s: s.execution_time_s)
-
 
 class AdaptiveGrainTuner:
     """Feedback controller over the paper's dynamic metrics."""

@@ -107,15 +107,6 @@ class AverageCounter(Counter):
         self.total += value
         self.count += 1
 
-    def add_bulk(self, total: float, count: int) -> None:
-        """Fold in a pre-aggregated (sum, count) pair.
-
-        The per-worker accounting in the simulator aggregates locally and
-        flushes in bulk to keep the event path cheap.
-        """
-        self.total += total
-        self.count += count
-
     def get_value(self) -> float:
         if self.count == 0:
             return 0.0

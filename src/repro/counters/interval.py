@@ -65,14 +65,3 @@ class IntervalSampler:
         self._last = current
         self._last_ns = now_ns
         return interval
-
-    def idle_rate_series(self) -> list[tuple[int, float]]:
-        """(interval end time, idle-rate) series — the paper's primary
-        dynamic signal for grain-size adjustment."""
-        out = []
-        for s in self.samples:
-            exec_ns = s.get("/threads/time/cumulative")
-            func_ns = s.get("/threads/time/cumulative-func")
-            if func_ns > 0:
-                out.append((s.end_ns, (func_ns - exec_ns) / func_ns))
-        return out

@@ -20,7 +20,7 @@ real localities: per-locality counters carry a ``locality#N`` prefix and the
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 _NAME_RE = re.compile(
     r"""
@@ -79,17 +79,6 @@ class CounterName:
             return None
         return self.parent_index
 
-    def with_locality(self, index: int | None) -> "CounterName":
-        """This name re-addressed at ``locality#index``.
-
-        ``None`` produces the ``locality#*`` wildcard form, the query that
-        matches the same counter on every locality — the addressing mode the
-        distributed runtime's aggregation is built on.
-        """
-        if index is not None and index < 0:
-            raise ValueError(f"locality index must be >= 0, got {index}")
-        return replace(self, parent_instance="locality", parent_index=index)
-
     def canonical(self) -> str:
         """The full canonical string form of this name."""
         parent_ix = "*" if self.parent_index is None else str(self.parent_index)
@@ -107,10 +96,6 @@ class CounterName:
         if self.parameters is not None:
             base += f"@{self.parameters}"
         return base
-
-    def short(self) -> str:
-        """The abbreviated form used throughout the paper's text."""
-        return f"/{self.object_name}/{self.counter_path}"
 
     def matches(self, other: "CounterName") -> bool:
         """True when ``other`` (a concrete name) matches this possibly

@@ -227,7 +227,3 @@ class CounterRegistry:
         return CounterSnapshot(
             timestamp_ns=timestamp_ns, values=values, average_pairs=pairs
         )
-
-    def reset_all(self) -> None:
-        for counter in self._counters.values():
-            counter.reset()

@@ -5,7 +5,7 @@ distributed runtime whose parcel transport and AGAS addressing are the
 overheads that dominate once work spans localities (Task Bench, and Wu et
 al.'s Charm++/HPX overhead study — PAPERS.md).  This package adds that axis:
 
-- :mod:`repro.dist.network` — per-link latency/bandwidth and parcel
+- :mod:`repro.dist.network` — link latency/bandwidth and parcel
   serialization costs;
 - :mod:`repro.dist.parcel` — the per-locality parcelport with HPX-style
   ``/parcels{locality#N/total}`` counters;
@@ -26,12 +26,7 @@ coarser grains.
 """
 
 from repro.dist.agas import AgasCache, AgasParams, AgasService, GlobalId
-from repro.dist.network import (
-    LinkParams,
-    NetworkModel,
-    NetworkParams,
-    scaled_network,
-)
+from repro.dist.network import LinkParams, NetworkModel, NetworkParams
 from repro.dist.parcel import Parcel, Parcelport
 from repro.dist.runtime import (
     DistConfig,
@@ -62,7 +57,6 @@ __all__ = [
     "LinkParams",
     "NetworkModel",
     "NetworkParams",
-    "scaled_network",
     "Parcel",
     "Parcelport",
     "DistConfig",

@@ -6,10 +6,8 @@ al. (PAPERS.md) both show that once work spans localities, per-parcel costs
 join per-task costs as the overheads that set the usable grain-size region.
 This module models the transport half of that cost:
 
-- **per-link latency and bandwidth** — a parcel from locality *s* to *d*
-  pays ``latency + size / bandwidth``.  Links default to one uniform
-  interconnect; individual (s, d) pairs can be overridden to model
-  asymmetric topologies (e.g. an oversubscribed inter-switch link);
+- **link latency and bandwidth** — a parcel from locality *s* to *d*
+  pays ``latency + size / bandwidth`` over one uniform interconnect;
 - **serialization** — encoding the parcel on the sending side costs a fixed
   setup plus a per-byte charge.  HPX pays this on a worker thread; the model
   charges it as virtual delay ahead of the wire time and accounts it in
@@ -30,8 +28,7 @@ TCP/MPI parcelport measurements in the Task Bench literature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -91,14 +88,8 @@ class NetworkModel:
     shared by every locality of a :class:`repro.dist.DistRuntime`.
     """
 
-    def __init__(
-        self,
-        params: NetworkParams | None = None,
-        *,
-        links: Mapping[tuple[int, int], LinkParams] | None = None,
-    ) -> None:
+    def __init__(self, params: NetworkParams | None = None) -> None:
         self.params = params if params is not None else NetworkParams()
-        self._links: dict[tuple[int, int], LinkParams] = dict(links or {})
 
     @classmethod
     def zero(cls) -> "NetworkModel":
@@ -116,29 +107,13 @@ class NetworkModel:
             )
         )
 
-    @classmethod
-    def uniform(
-        cls, *, latency_ns: int, bandwidth_bytes_per_ns: float, **kwargs
-    ) -> "NetworkModel":
-        """A homogeneous network with the given link on every pair."""
-        link = LinkParams(
-            latency_ns=latency_ns, bandwidth_bytes_per_ns=bandwidth_bytes_per_ns
-        )
-        return cls(NetworkParams(default_link=link, **kwargs))
-
-    def with_link(self, src: int, dst: int, link: LinkParams) -> "NetworkModel":
-        """A copy of this model with one directed (src, dst) link replaced."""
-        links = dict(self._links)
-        links[(src, dst)] = link
-        return NetworkModel(self.params, links=links)
-
     # -- cost arithmetic ----------------------------------------------------
 
     def link(self, src: int, dst: int) -> LinkParams:
         """The link a (src, dst) parcel travels; loopback is free."""
         if src == dst:
             return _FREE_LINK
-        return self._links.get((src, dst), self.params.default_link)
+        return self.params.default_link
 
     def wire_bytes(self, payload_bytes: int) -> int:
         """Total bytes on the wire: payload plus the parcel envelope."""
@@ -160,39 +135,3 @@ class NetworkModel:
             return link.latency_ns
         return int(link.latency_ns + wire / link.bandwidth_bytes_per_ns)
 
-
-def scaled_network(base: NetworkModel, factor: float) -> NetworkModel:
-    """``base`` with every latency/serialization cost scaled by ``factor``.
-
-    The experiment harness uses this for comm-overhead ablations (e.g. the
-    figD sensitivity notes) without re-deriving parameter sets by hand.
-    """
-    if factor < 0:
-        raise ValueError(f"factor must be >= 0, got {factor}")
-    p = base.params
-    link = p.default_link
-    params = replace(
-        p,
-        default_link=LinkParams(
-            latency_ns=int(link.latency_ns * factor),
-            bandwidth_bytes_per_ns=(
-                link.bandwidth_bytes_per_ns / factor
-                if factor > 0
-                else float("inf")
-            ),
-        ),
-        serialization_base_ns=int(p.serialization_base_ns * factor),
-        serialization_ns_per_byte=p.serialization_ns_per_byte * factor,
-    )
-    links = {
-        pair: LinkParams(
-            latency_ns=int(lk.latency_ns * factor),
-            bandwidth_bytes_per_ns=(
-                lk.bandwidth_bytes_per_ns / factor
-                if factor > 0
-                else float("inf")
-            ),
-        )
-        for pair, lk in base._links.items()
-    }
-    return NetworkModel(params, links=links)

@@ -93,7 +93,7 @@ from repro.faults.transport import RetryParams
 from repro.layer import Layer, implementers
 from repro.sim.engine import Event, Simulator
 
-#: role tag for the retransmit-jitter stream (see repro.faults.plan)
+#: role tag for the retransmit-jitter stream (registered in repro.faults.plan)
 _ROLE_JITTER = 0x33
 #: payload bytes of the acknowledgement control message
 ACK_BYTES = 0
@@ -116,8 +116,6 @@ class Parcel:
     wire_bytes: int
     #: when the carried value became ready at the source
     ready_ns: int
-    #: when the encoded parcel hit the wire
-    departed_ns: int
     #: filled in at delivery
     delivered_ns: int | None = None
     #: True when the payload is an exception being propagated, not a value
@@ -326,7 +324,6 @@ class Parcelport:
             payload_bytes=payload_bytes,
             wire_bytes=self.network.wire_bytes(payload_bytes),
             ready_ns=now,
-            departed_ns=now + resolve_ns + serialize_ns,
             is_error=is_error,
         )
         # A layer may reject the send (a fenced epoch, a fail-fast breaker)
@@ -497,7 +494,7 @@ class Parcelport:
             event = self.sim.schedule(
                 head_delay_ns + timeout_ns,
                 lambda: self._on_timeout(
-                    peer, parcel, on_delivered, on_lost, attempt, timeout_ns
+                    parcel, on_delivered, on_lost, attempt, timeout_ns
                 ),
             )
             self._awaiting[parcel.parcel_id] = (event, parcel, attempt)
@@ -614,7 +611,6 @@ class Parcelport:
 
     def _on_timeout(
         self,
-        peer: "Parcelport",
         parcel: Parcel,
         on_delivered: DeliveryFn,
         on_lost: LostFn | None,
@@ -744,14 +740,23 @@ class Parcelport:
         return sum(len(lane) for lane in self._waiting.values())
 
     def waiting_for(self, destination: int) -> tuple[Parcel, ...]:
-        """The parked parcels headed to ``destination`` (FIFO order)."""
+        """The parked parcels headed to ``destination`` (FIFO order).
+
+        Tests read it to check that an open breaker parks a send in the
+        waiting lane instead of transmitting it.
+        """
         lane = self._waiting.get(destination)
         if not lane:
             return ()
         return tuple(entry[0] for entry in lane)
 
     def unacked_high_water(self, destination: int) -> int:
-        """Peak distinct unacked parcels to ``destination`` (retry only)."""
+        """Peak distinct unacked parcels to ``destination`` (retry only).
+
+        Tests read it to check the credit window's law: in-flight parcels
+        never exceed the window, and a retransmission rides its parcel's
+        credit instead of taking another.
+        """
         return self._unacked_hwm.get(destination, 0)
 
     def unacked_to(self, destination: int) -> int:

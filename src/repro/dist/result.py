@@ -41,7 +41,6 @@ class DistRunResult:
 
     parcels_sent = _sum("parcels", "count/sent")
     parcels_received = _sum("parcels", "count/received")
-    bytes_sent = _sum("parcels", "count/bytes-sent")
     serialization_time_ns = _sum("parcels", "time/serialization")
     #: ready-to-delivered time of the parcels each locality received
     network_wait_ns = _sum("parcels", "time/network-wait")

@@ -26,20 +26,20 @@ plan at all, so the resilience layer costs nothing when off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _MASK = (1 << 64) - 1
-#: role tags keep the drop / duplicate / jitter decision streams disjoint
-#: even for identical (parcel, attempt) keys
+#: role tags keep the drop / duplicate decision streams disjoint even for
+#: identical (parcel, attempt) keys
 _ROLE_DROP = 0x11
 _ROLE_DUPLICATE = 0x22
-_ROLE_JITTER = 0x33
 #: heartbeat emission jitter of the crash-recovery failure detector
 #: (repro.recovery); registered here so the role-tag space stays collision-
-#: free as components add streams (0x44 breaker probe, 0x7B-0x7E taskbench/
-#: verify generators, 0x80-0x85 verify harness incl. the RT and tail legs,
-#: 0x90-0x92 qos arrivals, 0xA0-0xA2 rt release/gap/exec draws,
-#: 0xB0-0xB2 reserved for repro.tail)
+#: free as components add streams (0x33 the parcelport's retransmit
+#: jitter, 0x44 breaker probe, 0x7B-0x7E taskbench/verify generators,
+#: 0x80-0x85 verify harness incl. the RT and tail legs, 0x90-0x92 qos
+#: arrivals, 0xA0-0xA2 rt release/gap/exec draws, 0xB0-0xB2 reserved for
+#: repro.tail)
 ROLE_HEARTBEAT = 0x55
 
 
@@ -231,15 +231,6 @@ class FaultInjector:
         return (
             stream_unit(self.plan.seed, _ROLE_DUPLICATE, parcel_id, attempt)
             < rate
-        )
-
-    def jitter_ns(self, parcel_id: int, attempt: int, cap_ns: int) -> int:
-        """Seeded retransmit-backoff jitter in ``[0, cap_ns]``."""
-        if cap_ns <= 0:
-            return 0
-        return int(
-            stream_unit(self.plan.seed, _ROLE_JITTER, parcel_id, attempt)
-            * (cap_ns + 1)
         )
 
     def link_multipliers(

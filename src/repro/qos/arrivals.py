@@ -36,7 +36,7 @@ the gap / modulation / thinning streams disjoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.faults.plan import stream_unit
 
@@ -73,20 +73,13 @@ class ArrivalProcess:
     """Interface: a deterministic schedule of arrival timestamps.
 
     ``times(seed, tenant_id, window_ns)`` returns strictly increasing
-    integer nanosecond offsets in ``[0, window_ns)``.  ``scaled(factor)``
-    returns the same process at ``factor`` times the mean rate — the
-    load-sweep knob figQ turns.
+    integer nanosecond offsets in ``[0, window_ns)``.
     """
 
     interarrival_ns: float
 
     def times(self, seed: int, tenant_id: int, window_ns: int) -> list[int]:
         raise NotImplementedError
-
-    def scaled(self, factor: float) -> "ArrivalProcess":
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
-        return replace(self, interarrival_ns=self.interarrival_ns / factor)
 
 
 def _monotone(ts: list[float], window_ns: int) -> list[int]:

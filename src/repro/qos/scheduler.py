@@ -85,5 +85,10 @@ class QosBucketScheduler(DeadlineBucketScheduler):
         return bucket
 
     def bucket_queue(self, class_name: str, worker: int) -> DualQueue:
-        """The ``worker``-homed queue of class ``class_name`` (tests)."""
+        """The ``worker``-homed queue of class ``class_name``.
+
+        Tests read it to check the routing law: a classed task lands in
+        its class's bucket, and an unclassed, unknown or foreign-tagged
+        one in the bucket its priority maps to.
+        """
         return self._by_name[class_name].queues[worker]

@@ -12,7 +12,7 @@ grows.
 Layers (bottom up):
 
 - :mod:`repro.rt.model` — task-set specs, seeded release/demand draws,
-  the ``with_grain()`` splitter, JSON round-trip.
+  the ``with_grain()`` splitter.
 - :mod:`repro.rt.resources` — shared resources and the three protocols
   (``none`` / ``inherit`` / ``ceiling``) with inversion accounting.
 - :mod:`repro.rt.scheduler` — rate-monotonic priority assignment and

@@ -29,16 +29,13 @@ so the grain axis applies to RT jobs exactly as it does to Task Bench.
 
 Every draw is a pure function of ``(seed, role, task index, job index)``
 through the SplitMix64 streams of :mod:`repro.faults.plan` (fresh role
-tags 0xA0–0xA2), and a :class:`TaskSet` round-trips through JSON like
-:class:`repro.verify.spec.WorkloadSpec` so scenarios replay anywhere.
+tags 0xA0–0xA2), so a scenario replays the same anywhere.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Any
+from dataclasses import dataclass, replace
 
 from repro.faults.plan import stream_u64, stream_unit
 
@@ -294,26 +291,12 @@ class SporadicTaskSpec(RtTaskSpec):
         return out
 
 
-#: JSON tag -> concrete spec class (stable serialization API)
-_KINDS: dict[str, type[RtTaskSpec]] = {
-    "periodic": PeriodicTaskSpec,
-    "sporadic": SporadicTaskSpec,
-}
-
-
-def _spec_kind(spec: RtTaskSpec) -> str:
-    for kind, cls in _KINDS.items():
-        if type(spec) is cls:
-            return kind
-    raise TypeError(f"unregistered RT task spec type {type(spec).__name__}")
-
-
 @dataclass(frozen=True)
 class TaskSet:
     """An ordered set of RT tasks released together over one window.
 
     ``seed`` feeds every release/execution draw; task indices are list
-    positions, so the same JSON replays the same schedule anywhere.
+    positions, so the same set replays the same schedule anywhere.
     """
 
     tasks: tuple[RtTaskSpec, ...]
@@ -348,37 +331,3 @@ class TaskSet:
         return max(
             (t.critical_section_ns for t in self.tasks), default=0
         )
-
-    # -- JSON round-trip -------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        out_tasks = []
-        for t in self.tasks:
-            entry: dict[str, Any] = {"kind": _spec_kind(t)}
-            for f in fields(t):
-                entry[f.name] = getattr(t, f.name)
-            out_tasks.append(entry)
-        return {"seed": self.seed, "tasks": out_tasks}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TaskSet":
-        tasks = []
-        for entry in data["tasks"]:
-            entry = dict(entry)
-            kind = entry.pop("kind")
-            try:
-                spec_cls = _KINDS[kind]
-            except KeyError:
-                raise ValueError(
-                    f"unknown RT task kind {kind!r}; expected one of "
-                    f"{sorted(_KINDS)}"
-                ) from None
-            tasks.append(spec_cls(**entry))
-        return cls(tasks=tuple(tasks), seed=data.get("seed", 0))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TaskSet":
-        return cls.from_dict(json.loads(text))

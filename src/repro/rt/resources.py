@@ -184,6 +184,8 @@ class ResourceManager:
         return self._state[resource].holder
 
     def waiting(self, resource: str) -> int:
+        """Jobs queued on ``resource``.  Tests read it to check that an
+        acquire on a held resource blocks and queues the job."""
         return len(self._state[resource].waiters)
 
     # -- boosts ----------------------------------------------------------------

@@ -77,7 +77,6 @@ class Job:
         "job_id",
         "task_index",
         "name",
-        "release_ns",
         "deadline_ns",
         "base_priority",
         "effective_priority",
@@ -95,7 +94,6 @@ class Job:
         job_id: int,
         task_index: int,
         name: str,
-        release_ns: int,
         deadline_ns: int,
         priority: Priority,
         cs_chunks: tuple[int, ...],
@@ -104,7 +102,6 @@ class Job:
         self.job_id = job_id
         self.task_index = task_index
         self.name = name
-        self.release_ns = release_ns
         self.deadline_ns = deadline_ns
         self.base_priority = priority
         self.effective_priority = priority
@@ -329,9 +326,7 @@ def register_rt_counters(
     )
 
 
-def _resolve_policy(
-    cfg: RtServiceConfig, taskset: TaskSet
-) -> SchedulingPolicy | str:
+def _resolve_policy(cfg: RtServiceConfig) -> SchedulingPolicy | str:
     if cfg.scheduler is None:
         return EdfScheduler()
     if cfg.scheduler == "rm":
@@ -388,7 +383,7 @@ def run_rt_service(
         RuntimeConfig(
             platform=_scaled_platform(cfg),
             num_cores=cfg.num_cores,
-            scheduler=_resolve_policy(cfg, taskset),
+            scheduler=_resolve_policy(cfg),
             seed=cfg.seed,
         )
     )
@@ -496,7 +491,6 @@ def run_rt_service(
                 job_id=job_id,
                 task_index=task_index,
                 name=spec.name,
-                release_ns=at_ns,
                 deadline_ns=at_ns + spec.relative_deadline_ns,
                 priority=priorities[spec.name],
                 cs_chunks=cs_chunks,

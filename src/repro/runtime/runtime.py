@@ -140,6 +140,8 @@ class RunResult:
 
     @property
     def tasks_blocked(self) -> float:
+        """Tasks block admission held back.  Tests read it to check that
+        block admission readmits every task it blocks."""
         return self.counters.get("/overload/count/blocked")
 
     @property

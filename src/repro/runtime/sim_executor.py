@@ -60,7 +60,6 @@ class _SimWorker:
         "exec_ns",
         "mgmt_ns",
         "tasks_executed",
-        "phases_executed",
         "consecutive_misses",
         "wake_event",
         "busy",
@@ -71,7 +70,6 @@ class _SimWorker:
         self.exec_ns: int = 0
         self.mgmt_ns: int = 0
         self.tasks_executed: int = 0
-        self.phases_executed: int = 0
         self.consecutive_misses: int = 0
         self.wake_event: Event | None = None
         self.busy: bool = False
@@ -128,8 +126,6 @@ class SimExecutor:
         #: completion events of active phases, keyed by task id, so an
         #: active task can be cancelled before its phase elapses
         self._inflight: dict[int, tuple[Event, _SimWorker]] = {}
-        #: tasks retired by :meth:`cancel_task` (not counted as completed)
-        self.cancelled_tasks = 0
         self._register_counters()
 
     # -- counters ---------------------------------------------------------------
@@ -439,7 +435,6 @@ class SimExecutor:
         task.overhead_ns += mgmt_ns
         worker.exec_ns += duration_ns
         worker.mgmt_ns += mgmt_ns
-        worker.phases_executed += 1
         self._c_phases.increment()
         self._c_avg_phase.add_sample(duration_ns)
         self._c_avg_phase_overhead.add_sample(mgmt_ns)
@@ -506,7 +501,6 @@ class SimExecutor:
 
     def _finish_task(self, worker: _SimWorker, task: Task) -> None:
         task.set_state(TaskState.TERMINATED)
-        task.terminated_ns = self.sim.now
         worker.tasks_executed += 1
         self._outstanding -= 1
         self._c_tasks.increment()
@@ -526,7 +520,7 @@ class SimExecutor:
         pending completion event cancelled and its worker freed right now,
         the partial phase discarded.  Cancelled tasks never run callbacks,
         never satisfy futures, and are excluded from the completed-task
-        counters (see :attr:`cancelled_tasks`).
+        counters.
 
         Returns False — and does nothing — on a halted executor, a
         terminated task, or a task already cancelled.
@@ -553,9 +547,7 @@ class SimExecutor:
         # Cancellation is not an HPX-thread transition; the task is retired
         # in place without an activation, so the state is assigned directly.
         task.state = TaskState.TERMINATED
-        task.terminated_ns = self.sim.now
         self._outstanding -= 1
-        self.cancelled_tasks += 1
         if self._outstanding == 0:
             self.finish_ns = self.sim.now
             self._cancel_all_wakeups()
@@ -621,7 +613,7 @@ class SimExecutor:
                     0, (lambda ww: lambda: self._search(ww))(w)
                 )
 
-    def run(self, max_events: int | None = None) -> int:
+    def run(self) -> int:
         """Drive the simulation until all spawned tasks terminate.
 
         Returns the virtual completion time in nanoseconds.  Raises
@@ -629,7 +621,7 @@ class SimExecutor:
         work (e.g. a task suspended on a future nothing will satisfy).
         """
         self.start_workers()
-        self.sim.run(max_events=max_events)
+        self.sim.run()
         if self._outstanding > 0:
             raise DeadlockError(
                 f"{self._outstanding} task(s) outstanding but the event "

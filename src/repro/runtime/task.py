@@ -108,7 +108,6 @@ class Task:
         "exec_ns",
         "overhead_ns",
         "created_ns",
-        "terminated_ns",
         "home_worker",
         "_generator",
         "result",
@@ -142,7 +141,6 @@ class Task:
         #: cumulative management time charged to this task
         self.overhead_ns: int = 0
         self.created_ns: int = 0
-        self.terminated_ns: int = 0
         #: worker whose staged queue the task was placed in
         self.home_worker: int = -1
         self._generator = None
@@ -171,10 +169,6 @@ class Task:
         """Record an activation; returns the (1-based) phase number."""
         self.phases += 1
         return self.phases
-
-    @property
-    def is_terminated(self) -> bool:
-        return self.state is TaskState.TERMINATED
 
     @property
     def func_ns(self) -> int:

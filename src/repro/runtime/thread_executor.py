@@ -102,7 +102,6 @@ class ThreadRuntime:
         self._total_spawned = 0
         self._shutdown = False
         self._exec_ns = 0
-        self._started_ns: int | None = None
         self._threads: list[threading.Thread] = []
         self._local = threading.local()
         self.checker: RuntimeChecker | None = (
@@ -140,7 +139,6 @@ class ThreadRuntime:
     def start(self) -> "ThreadRuntime":
         if self._threads:
             raise RuntimeError("runtime already started")
-        self._started_ns = time.perf_counter_ns()
         for i in range(self.machine.num_cores):
             t = threading.Thread(
                 target=self._worker_loop, args=(i,), name=f"worker-{i}", daemon=True
@@ -313,9 +311,9 @@ class ThreadRuntime:
                     task.set_state(TaskState.PENDING)
                 task.set_state(TaskState.ACTIVE)
                 task.begin_phase()
-            self._execute(index, task)
+            self._execute(task)
 
-    def _execute(self, index: int, task: Task) -> None:
+    def _execute(self, task: Task) -> None:
         """Run one phase of ``task`` outside the lock; then finish it.
 
         Raw task bodies that raise do not kill the worker: the exception is
@@ -341,7 +339,6 @@ class ThreadRuntime:
             self._exec_ns += elapsed
             self._c_phases.increment()
             task.set_state(TaskState.TERMINATED)
-            task.terminated_ns = time.perf_counter_ns()
             self._c_tasks.increment()
             if error is not None:
                 task.result = error

@@ -18,8 +18,9 @@ causes rather than being curve-fit:
    and shared LLC to DRAM as it grows, bending the per-point time; this is
    why the single-core curve is not flat in partition size.
 4. **Starvation** (coarse-grain wall, Fig. 3/4/9) — too few tasks to feed the
-   cores; workers spin polling empty queues.  The polling cost itself is
-   here; the *idleness* emerges from the scheduler simulation.
+   cores; workers spin polling empty queues.  A poll costs no virtual
+   time: the *idleness* emerges from the scheduler simulation, and the
+   polls show only in the Fig. 9/10 access and miss counts.
 
 Negative wait time: with very coarse grain the paper observes t_d < t_d1 and
 credits caching/housekeeping effects on the single-core reference run
@@ -163,10 +164,6 @@ class CostModel:
             convert_ns=int(base.convert_ns * scale),
             switch_ns=int(base.switch_ns * scale + timer),
         )
-
-    def poll_cost_ns(self) -> int:
-        """Cost of one queue inspection (hit or miss)."""
-        return int(self.params.poll_cost_ns)
 
     def lock_cost_ns(self) -> int:
         """Cost of one shared-resource acquisition (repro.rt critical

@@ -25,11 +25,9 @@ from repro.collector import paused
 class Event:
     """Handle for a scheduled callback; allows O(1) logical cancellation."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled")
+    __slots__ = ("callback", "cancelled")
 
-    def __init__(self, time: int, seq: int, callback: Callable[[], None]):
-        self.time = time
-        self.seq = seq
+    def __init__(self, callback: Callable[[], None]):
         self.callback = callback
         self.cancelled = False
 
@@ -65,7 +63,7 @@ class Simulator:
                 f"cannot schedule in the past: {time_ns} < now {self.now}"
             )
         self._seq += 1
-        event = Event(time_ns, self._seq, callback)
+        event = Event(callback)
         heapq.heappush(self._heap, (time_ns, self._seq, event))
         return event
 
@@ -77,24 +75,9 @@ class Simulator:
         """
         return sum(1 for _t, _s, e in self._heap if not e.cancelled)
 
-    def step(self) -> bool:
-        """Fire the single next event.  Returns False when the heap is empty."""
-        heap = self._heap
-        while heap:
-            time_ns, _seq, event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            self.now = time_ns
-            event.callback()
-            return True
-        return False
-
     @paused()
-    def run(self, max_events: int | None = None) -> int:
-        """Drain the event heap; returns the number of events fired.
-
-        ``max_events`` guards against runaway polling loops in tests.
-        """
+    def run(self) -> int:
+        """Drain the event heap; returns the number of events fired."""
         heap = self._heap
         fired = 0
         while heap:
@@ -104,8 +87,6 @@ class Simulator:
             self.now = time_ns
             event.callback()
             fired += 1
-            if max_events is not None and fired >= max_events:
-                break
         return fired
 
     @paused()

@@ -64,11 +64,6 @@ class Machine:
             for d, ixs in sorted(domains.items())
         ]
 
-    @property
-    def num_domains(self) -> int:
-        """Number of NUMA domains that actually have active cores."""
-        return len(self.domains)
-
     def domain_of(self, core_index: int) -> int:
         return self.cores[core_index].domain
 

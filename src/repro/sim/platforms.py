@@ -43,8 +43,6 @@ class CostParams:
     per_point_ns: float
     #: total thread-management time per task (create + stage->pend + switch)
     task_overhead_ns: float
-    #: cost of one look into a queue (hit or miss)
-    poll_cost_ns: float = 40.0
     #: extra cost of taking work from another worker in the same NUMA domain
     steal_cost_ns: float = 250.0
     #: extra cost of taking work from a remote NUMA domain
@@ -85,16 +83,6 @@ class PlatformSpec:
     fig3_core_counts: tuple[int, ...] = ()
     #: time steps used by the paper on this platform (50, or 5 on the Phi)
     paper_time_steps: int = 50
-
-    def cache_string(self) -> str:
-        """Human-readable cache summary in Table I's format."""
-        parts = [
-            f"32 KB L1(D,I)",
-            f"{self.l2_bytes // KB} KB L2",
-        ]
-        if self.shared_l3_bytes:
-            parts.append(f"{self.shared_l3_bytes // MB} MB shared")
-        return ", ".join(parts)
 
 
 SANDY_BRIDGE = PlatformSpec(
@@ -180,7 +168,6 @@ XEON_PHI = PlatformSpec(
     costs=CostParams(
         per_point_ns=88.0,
         task_overhead_ns=4500.0,
-        poll_cost_ns=150.0,
         steal_cost_ns=900.0,
         numa_steal_cost_ns=900.0,
         # KNC cores extract little bandwidth individually; this is the

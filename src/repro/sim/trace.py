@@ -126,13 +126,6 @@ class ExecutionTrace(Layer):
     def phases_of_worker(self, worker: int) -> Iterator[PhaseRecord]:
         return (p for p in self.phases if p.worker == worker)
 
-    def phases_of_task(self, task_id: int) -> list[PhaseRecord]:
-        return [p for p in self.phases if p.task_id == task_id]
-
-    @property
-    def task_count(self) -> int:
-        return len({p.task_id for p in self.phases})
-
     def validate(self) -> list[str]:
         """Internal-consistency check; returns violations (empty = clean).
 

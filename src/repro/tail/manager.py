@@ -335,6 +335,9 @@ class TailManager(Layer):
         return self._epoch[locality]
 
     def is_fenced(self, locality: int) -> bool:
+        """Has ``locality`` been fenced?  Tests read it to check the
+        fencing law: only a declared crash fences a locality, never a
+        degraded one, and a run with fencing off fences none."""
         return locality in self._fenced
 
     def is_stale(self, source: int, epoch: int) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 class QuantileSketch:
     """Last-``capacity`` observations, with rounded-rank quantile queries."""
 
-    __slots__ = ("_ring", "_capacity", "_next", "_count")
+    __slots__ = ("_ring", "_capacity", "_next")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -24,7 +24,6 @@ class QuantileSketch:
         self._capacity = capacity
         self._ring: list[float] = []
         self._next = 0
-        self._count = 0
 
     def add(self, value: float) -> None:
         """Record one observation, evicting the oldest when full."""
@@ -33,16 +32,10 @@ class QuantileSketch:
         else:
             self._ring[self._next] = value
             self._next = (self._next + 1) % self._capacity
-        self._count += 1
 
     def __len__(self) -> int:
-        """Observations currently in the window (not lifetime count)."""
+        """Observations currently in the window."""
         return len(self._ring)
-
-    @property
-    def total_observations(self) -> int:
-        """Lifetime observation count, evicted ones included."""
-        return self._count
 
     def quantile(self, q: float) -> float:
         """The ``q``-quantile of the current window, by rounded rank.

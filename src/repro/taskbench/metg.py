@@ -63,12 +63,12 @@ class MetgResult:
     #: every measured sample (sweep + bisection), sorted by grain
     curve: tuple[EfficiencyPoint, ...]
 
-    @property
-    def achieved(self) -> bool:
-        return self.grain is not None
-
     def efficiency_at(self, grain: int) -> float:
-        """The measured efficiency at ``grain`` (must be a swept grain)."""
+        """The measured efficiency at ``grain`` (must be a swept grain).
+
+        Tests read it to check the search's law: the grain it reports
+        meets the target efficiency.
+        """
         for p in self.curve:
             if p.grain == grain:
                 return p.efficiency

@@ -244,6 +244,8 @@ class TaskBenchSpec:
                     yield ((step - 1, parent), (step, index))
 
     def edge_count(self) -> int:
+        """The number of dependence edges.  Tests read it to check each
+        pattern's edge law against its closed-form count."""
         return sum(1 for _ in self.edges())
 
     def with_grain(self, grain: int) -> "TaskBenchSpec":

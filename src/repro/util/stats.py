@@ -78,11 +78,6 @@ class SampleStats:
         return abs(value - self.mean) <= self.stddev
 
 
-def describe(samples: Sequence[float]) -> SampleStats:
-    """Convenience wrapper for :meth:`SampleStats.from_samples`."""
-    return SampleStats.from_samples(samples)
-
-
 def quantile(samples: Sequence[float], q: float) -> float:
     """Exact nearest-rank quantile: the smallest sample x such that at
     least ``ceil(q * n)`` samples are <= x.
@@ -109,25 +104,3 @@ def _nearest_rank(q: float, n: int) -> int:
     restores the mathematically intended rank.
     """
     return max(1, math.ceil(q * n - 1e-9))
-
-
-def percentiles(
-    samples: Sequence[float], ps: Iterable[float] = (50.0, 99.0, 99.9)
-) -> dict[float, float]:
-    """Nearest-rank percentiles keyed by the requested percentile.
-
-    ``ps`` are percentages in (0, 100]; the default triple is the
-    p50/p99/p999 set the QoS layer reports per tenant.  One sort is
-    shared across all requested points.
-    """
-    pts = list(ps)
-    if not samples:
-        raise ValueError("percentiles() of empty sequence")
-    ordered = sorted(samples)
-    n = len(ordered)
-    out: dict[float, float] = {}
-    for p in pts:
-        if not 0.0 < p <= 100.0:
-            raise ValueError(f"percentile must be in (0, 100], got {p}")
-        out[p] = ordered[_nearest_rank(p / 100.0, n) - 1]
-    return out

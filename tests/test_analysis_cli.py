@@ -140,7 +140,11 @@ def test_module_entrypoint_runs(tmp_path):
         [sys.executable, "-m", "repro.analysis", str(bad)],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": env_path,
+            "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
     assert proc.returncode == 1
     assert "TG105" in proc.stdout

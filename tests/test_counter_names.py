@@ -75,12 +75,6 @@ class TestCanonical:
         text = "/threads{locality#0/worker-thread#7}/time/cumulative"
         assert parse_counter_name(text).canonical() == text
 
-    def test_short_form(self):
-        name = parse_counter_name(
-            "/threads{locality#0/worker-thread#7}/time/cumulative"
-        )
-        assert name.short() == "/threads/time/cumulative"
-
     def test_parameters_preserved(self):
         text = "/threads{locality#0/total}/idle-rate@x=1"
         assert parse_counter_name(text).canonical() == text
@@ -152,22 +146,6 @@ class TestLocalityAddressing:
     def test_locality_property_wildcard_is_none(self):
         name = parse_counter_name("/parcels{locality#*/total}/count/sent")
         assert name.locality is None
-
-    def test_with_locality_readdresses(self):
-        name = parse_counter_name("/threads/idle-rate").with_locality(5)
-        assert name.locality == 5
-        assert name.canonical() == "/threads{locality#5/total}/idle-rate"
-
-    def test_with_locality_none_is_wildcard(self):
-        name = parse_counter_name("/threads/idle-rate").with_locality(None)
-        assert name.is_wildcard
-        assert name.matches(
-            parse_counter_name("/threads{locality#7/total}/idle-rate")
-        )
-
-    def test_with_locality_rejects_negative(self):
-        with pytest.raises(ValueError):
-            parse_counter_name("/threads/idle-rate").with_locality(-1)
 
     def test_wildcard_canonical_round_trip(self):
         text = "/parcels{locality#*/total}/count/bytes-sent"

@@ -63,11 +63,6 @@ class TestAverageCounter:
             c.add_sample(v)
         assert c.get_value() == 20.0
 
-    def test_add_bulk(self):
-        c = AverageCounter("/t/a")
-        c.add_bulk(100.0, 4)
-        assert c.get_value() == 25.0
-
     def test_reset(self):
         c = AverageCounter("/t/a")
         c.add_sample(5.0)
@@ -132,13 +127,6 @@ class TestRegistry:
             "/a{locality#0/total}/b",
             "/a{locality#0/total}/c",
         }
-
-    def test_reset_all(self):
-        reg = CounterRegistry()
-        c = reg.raw("/a/b")
-        c.increment(5)
-        reg.reset_all()
-        assert c.get_value() == 0
 
 
 class TestSnapshots:
@@ -206,21 +194,6 @@ class TestIntervalSampler:
         s = sampler.sample(50)
         assert s.start_ns == 50
         assert s.end_ns == 50
-
-    def test_idle_rate_series(self):
-        reg = CounterRegistry()
-        state = {"exec": 0.0, "func": 0.0}
-        reg.derived("/threads/time/cumulative", lambda: state["exec"])
-        reg.derived("/threads/time/cumulative-func", lambda: state["func"])
-        sampler = IntervalSampler(reg)
-        sampler.start(0)
-        state["exec"], state["func"] = 50.0, 100.0
-        sampler.sample(10)
-        state["exec"], state["func"] = 50.0 + 90.0, 100.0 + 100.0
-        sampler.sample(20)
-        series = sampler.idle_rate_series()
-        assert series[0] == (10, pytest.approx(0.5))
-        assert series[1] == (20, pytest.approx(0.1))
 
 
 class TestSnapshotMismatch:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.dist.network import (
-    LinkParams,
-    NetworkModel,
-    NetworkParams,
-    scaled_network,
-)
+from repro.dist.network import LinkParams, NetworkModel, NetworkParams
 
 
 class TestParams:
@@ -65,45 +60,3 @@ class TestCostArithmetic:
         assert model.transfer_ns(0, 1, 1 << 20) == 0
         assert model.wire_bytes(64) == 64
 
-    def test_with_link_overrides_one_direction(self):
-        slow = LinkParams(latency_ns=1_000_000, bandwidth_bytes_per_ns=0.1)
-        model = NetworkModel().with_link(0, 1, slow)
-        assert model.link(0, 1) is slow
-        # The reverse direction and other pairs keep the default.
-        assert model.link(1, 0) == model.params.default_link
-        assert model.link(2, 3) == model.params.default_link
-
-    def test_with_link_does_not_mutate_original(self):
-        base = NetworkModel()
-        base.with_link(0, 1, LinkParams(latency_ns=1))
-        assert base.link(0, 1) == base.params.default_link
-
-
-class TestScaledNetwork:
-    def test_scales_latency_serialization_and_inverse_bandwidth(self):
-        base = NetworkModel()
-        doubled = scaled_network(base, 2.0)
-        link = doubled.params.default_link
-        assert link.latency_ns == 2 * base.params.default_link.latency_ns
-        assert (
-            link.bandwidth_bytes_per_ns
-            == base.params.default_link.bandwidth_bytes_per_ns / 2
-        )
-        assert (
-            doubled.params.serialization_base_ns
-            == 2 * base.params.serialization_base_ns
-        )
-
-    def test_factor_zero_is_free(self):
-        free = scaled_network(NetworkModel(), 0.0)
-        assert free.transfer_ns(0, 1, 1 << 20) == 0
-        assert free.serialization_ns(1 << 20) == 0
-
-    def test_scales_overridden_links_too(self):
-        base = NetworkModel().with_link(0, 1, LinkParams(latency_ns=100))
-        scaled = scaled_network(base, 3.0)
-        assert scaled.link(0, 1).latency_ns == 300
-
-    def test_negative_factor_rejected(self):
-        with pytest.raises(ValueError):
-            scaled_network(NetworkModel(), -1.0)

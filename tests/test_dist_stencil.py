@@ -54,13 +54,6 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="partition_points=1 gives only 3"):
             few.owners(4)
 
-    def test_cross_halos_per_step(self):
-        config = DistStencilConfig(
-            total_points=1 << 12, partition_points=256, time_steps=1
-        )
-        assert config.cross_halos_per_step(1) == 0
-        assert config.cross_halos_per_step(4) == 8
-
 
 class TestValidatedRun:
     def test_matches_serial_reference_across_localities(self):

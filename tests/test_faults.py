@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.counters.registry import CounterRegistry
+from repro.dist.network import NetworkModel
+from repro.dist.parcel import Parcelport
 from repro.faults import (
     CrashAt,
     FaultInjector,
@@ -14,6 +17,7 @@ from repro.faults import (
     WatchdogTimeout,
     stream_unit,
 )
+from repro.sim.engine import Simulator
 
 
 class TestStreams:
@@ -145,11 +149,19 @@ class TestInjector:
         assert inj.crash_time(0) is None
 
     def test_jitter_bounded(self):
-        inj = FaultInjector(FaultPlan(seed=11))
-        draws = [inj.jitter_ns(p, 0, 500) for p in range(500)]
+        """The retransmit timer's seeded jitter lies in ``[0, cap]``."""
+
+        def port(cap_ns: int) -> Parcelport:
+            return Parcelport(
+                0, Simulator(), NetworkModel(), CounterRegistry(),
+                retry=RetryParams(max_jitter_ns=cap_ns), seed=11,
+            )
+
+        jittered = port(500)
+        draws = [jittered._jitter_ns(p, 0) for p in range(500)]
         assert all(0 <= j <= 500 for j in draws)
         assert len(set(draws)) > 100  # actually varies
-        assert inj.jitter_ns(3, 0, 0) == 0
+        assert port(0)._jitter_ns(3, 0) == 0
 
 
 class TestRetryParams:

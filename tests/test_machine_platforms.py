@@ -76,17 +76,12 @@ class TestPlatformDatabase:
             assert max(spec.fig3_core_counts) <= spec.cores
             assert min(spec.fig3_core_counts) == 1
 
-    def test_cache_string(self):
-        assert "256 KB L2" in HASWELL.cache_string()
-        assert "35 MB shared" in HASWELL.cache_string()
-        assert "shared" not in XEON_PHI.cache_string()
-
 
 class TestMachine:
     def test_full_haswell_topology(self):
         m = Machine(HASWELL, 28)
         assert len(m.cores) == 28
-        assert m.num_domains == 2
+        assert len(m.domains) == 2
         assert len(m.domains[0].core_indices) == 14
         assert len(m.domains[1].core_indices) == 14
 
@@ -100,7 +95,7 @@ class TestMachine:
 
     def test_single_core(self):
         m = Machine(HASWELL, 1)
-        assert m.num_domains == 1
+        assert len(m.domains) == 1
         assert m.same_domain_cores(0) == ()
         assert m.remote_domain_cores(0) == ()
 
@@ -115,7 +110,7 @@ class TestMachine:
 
     def test_phi_single_domain(self):
         m = Machine(XEON_PHI, 60)
-        assert m.num_domains == 1
+        assert len(m.domains) == 1
         assert len(m.same_domain_cores(30)) == 59
         assert m.remote_domain_cores(30) == ()
 

@@ -66,8 +66,7 @@ class TestPolicyEngine:
         rt = stencil_runtime(cores=4, partition=4096, total=1 << 18)
         engine = PolicyEngine(rt, interval_ns=50_000)
         engine.run()
-        assert engine.samples_taken >= 2
-        assert len(rt.sampler.samples) == engine.samples_taken
+        assert len(rt.sampler.samples) >= 2
 
     def test_invalid_interval(self):
         rt = stencil_runtime(cores=2, partition=4096, total=1 << 16, steps=1)

@@ -46,19 +46,9 @@ class TestCommonProperties:
         assert 600 <= n <= 1500
 
     @pytest.mark.parametrize("proc", ALL, ids=lambda p: type(p).__name__)
-    def test_scaled_changes_the_rate(self, proc):
-        base = len(proc.times(5, 0, WINDOW))
-        doubled = len(proc.scaled(2.0).times(5, 0, WINDOW))
-        assert 1.5 * base <= doubled <= 2.6 * base
-
-    @pytest.mark.parametrize("proc", ALL, ids=lambda p: type(p).__name__)
     def test_bad_window_rejected(self, proc):
         with pytest.raises(ValueError):
             proc.times(0, 0, 0)
-
-    def test_bad_scale_rejected(self):
-        with pytest.raises(ValueError):
-            PoissonArrivals(GAP).scaled(0.0)
 
 
 class TestValidation:
@@ -100,8 +90,6 @@ class TestPeriodicArrivals:
         for gap in (0, 0.5, -1):
             with pytest.raises(ValueError):
                 PeriodicArrivals(gap)
-        with pytest.raises(ValueError):
-            PeriodicArrivals(1000).scaled(2000)  # a 0.5 ns gap
 
     def test_ticks_multiply_rather_than_accumulate(self):
         # figO's 3x point at 1 us grain on 8 cores: a running sum of this

@@ -196,7 +196,7 @@ def test_with_grain_maps_over_the_whole_set():
     assert ts.utilization() == pytest.approx(fine.utilization())
 
 
-# -- TaskSet arithmetic and round-trip -------------------------------------------
+# -- TaskSet arithmetic ---------------------------------------------------------
 
 
 def test_utilization_is_wcet_over_interarrival():
@@ -215,14 +215,12 @@ def test_utilization_is_wcet_over_interarrival():
     assert ts.utilization() == pytest.approx(10_000 / 40_000 + 30_000 / 60_000)
 
 
-def test_taskset_json_round_trip_preserves_kinds():
+def test_resources_and_longest_critical_section():
     ts = TaskSet(
-        seed=99,
         tasks=(
             PeriodicTaskSpec(
                 name="a", wcet_ns=9_000, relative_deadline_ns=30_000,
-                period_ns=30_000, phase_ns=500, release_jitter_ns=100,
-                exec_variation=0.1, grain_ns=1_000,
+                period_ns=30_000,
             ),
             SporadicTaskSpec(
                 name="b", wcet_ns=5_000, relative_deadline_ns=50_000,
@@ -231,12 +229,8 @@ def test_taskset_json_round_trip_preserves_kinds():
             ),
         ),
     )
-    back = TaskSet.from_json(ts.to_json())
-    assert back == ts
-    assert isinstance(back.tasks[0], PeriodicTaskSpec)
-    assert isinstance(back.tasks[1], SporadicTaskSpec)
-    assert back.resources() == ("bus",)
-    assert back.max_critical_section_ns() == 2_000
+    assert ts.resources() == ("bus",)
+    assert ts.max_critical_section_ns() == 2_000
 
 
 def test_model_validation_rejects_malformed_specs():

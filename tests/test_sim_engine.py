@@ -102,25 +102,6 @@ class TestRunControl:
         sim.schedule(2, lambda: None).cancel()
         assert sim.run() == 1
 
-    def test_max_events_guard(self):
-        sim = Simulator()
-
-        def forever():
-            sim.schedule(1, forever)
-
-        sim.schedule(0, forever)
-        assert sim.run(max_events=100) == 100
-
-    def test_step(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(5, lambda: fired.append(1))
-        sim.schedule(6, lambda: fired.append(2))
-        assert sim.step() is True
-        assert fired == [1]
-        assert sim.step() is True
-        assert sim.step() is False
-
     def test_run_until_stops_at_deadline(self):
         sim = Simulator()
         fired = []

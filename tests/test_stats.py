@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from repro.util.stats import (
     SampleStats,
     cov,
-    describe,
     mean,
-    percentiles,
     quantile,
     stddev,
 )
@@ -92,11 +90,8 @@ class TestSampleStats:
         stats = SampleStats.from_samples([10.0, 12.0])
         assert stats.within_stddev(stats.mean - stats.stddev / 2)
 
-    def test_describe_is_alias(self):
-        assert describe([1.0, 2.0]) == SampleStats.from_samples([1.0, 2.0])
-
     def test_stats_are_finite(self):
-        stats = describe([1e-12, 1e12])
+        stats = SampleStats.from_samples([1e-12, 1e12])
         assert math.isfinite(stats.cov)
         assert math.isfinite(stats.stddev)
 
@@ -168,26 +163,3 @@ class TestQuantile:
         assert quantile(xs, 1.0) == max(xs)
         assert quantile(xs, 1.0 / (len(xs) + 1)) == min(xs)
 
-
-class TestPercentiles:
-    def test_default_triple(self):
-        xs = list(range(1, 1001))
-        got = percentiles(xs)
-        assert got == {50.0: 500, 99.0: 990, 99.9: 999}
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            percentiles([])
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            percentiles([1.0], [0.0])
-        with pytest.raises(ValueError):
-            percentiles([1.0], [100.5])
-
-    @given(_samples, st.lists(st.floats(min_value=0.001, max_value=100.0), min_size=1, max_size=8))
-    @settings(max_examples=150, deadline=None)
-    def test_agrees_with_quantile(self, xs, ps):
-        got = percentiles(xs, ps)
-        for p in ps:
-            assert got[p] == quantile(xs, p / 100.0)

@@ -118,7 +118,6 @@ class TestQuantileSketch:
         for v in (1.0, 2.0, 3.0, 4.0):
             s.add(v)
         assert len(s) == 3
-        assert s.total_observations == 4
         # 1.0 was evicted: even the 1e-9 quantile lands on 2.0.
         assert s.quantile(1e-9) == 2.0
 

@@ -34,7 +34,7 @@ class TestLifecycle:
         t.set_state(TaskState.PENDING)
         t.set_state(TaskState.ACTIVE)
         t.set_state(TaskState.TERMINATED)
-        assert t.is_terminated
+        assert t.state is TaskState.TERMINATED
 
     def test_suspension_cycle(self):
         t = Task(lambda: None)
@@ -44,7 +44,7 @@ class TestLifecycle:
         t.set_state(TaskState.PENDING)
         t.set_state(TaskState.ACTIVE)
         t.set_state(TaskState.TERMINATED)
-        assert t.is_terminated
+        assert t.state is TaskState.TERMINATED
 
     @pytest.mark.parametrize(
         "bad_target",

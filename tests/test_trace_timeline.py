@@ -33,7 +33,7 @@ class TestTraceRecording:
     def test_one_record_per_phase(self):
         trace = traced_run(n_tasks=25)
         assert len(trace.phases) == 25
-        assert trace.task_count == 25
+        assert len({p.task_id for p in trace.phases}) == 25
 
     def test_trace_validates(self):
         trace = traced_run(cores=8, n_tasks=100)
@@ -73,7 +73,7 @@ class TestTraceRecording:
         rt.spawn(t)
         rt.spawn(Task(lambda: gate.set_value(1), work=FixedWork(20_000)))
         rt.run()
-        assert len(rt.trace.phases_of_task(t.task_id)) == 2
+        assert [p.task_id for p in rt.trace.phases].count(t.task_id) == 2
 
     def test_validate_catches_overlap(self):
         trace = ExecutionTrace(num_workers=1)
@@ -133,7 +133,6 @@ class TestUtilization:
         for u in worker_utilization(trace):
             assert u.exec_ns + u.mgmt_ns + u.idle_ns == u.total_ns
             assert 0.0 <= u.exec_fraction <= 1.0
-            assert 0.0 <= u.idle_fraction <= 1.0
 
     def test_balanced_load_similar_utilization(self):
         trace = traced_run(cores=4, n_tasks=400, work_ns=5_000)

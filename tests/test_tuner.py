@@ -117,9 +117,6 @@ class TestControlLoop:
         outcome = make_tuner(64, max_epochs=6).run()
         assert [s.epoch for s in outcome.steps] == list(range(outcome.epochs))
         assert outcome.steps[-1].action == "stop"
-        assert outcome.best_observed().execution_time_s == min(
-            s.execution_time_s for s in outcome.steps
-        )
 
     def test_final_time_matches_final_grain_measurement(self):
         outcome = make_tuner(64).run()
@@ -130,9 +127,3 @@ class TestControlLoop:
         tuner = make_tuner(10)  # below min_grain=64
         outcome = tuner.run()
         assert outcome.steps[0].grain == 64
-
-    def test_best_observed_empty_raises(self):
-        from repro.core.tuner import TunerResult
-
-        with pytest.raises(ValueError):
-            TunerResult().best_observed()

@@ -86,7 +86,11 @@ def test_module_entrypoint_runs(tmp_path):
          "--out", str(tmp_path / "r")],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": str(REPO / "src"),
+            "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
     assert proc.returncode == 0
     assert "all parity invariants held" in proc.stdout
