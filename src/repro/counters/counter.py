@@ -22,7 +22,7 @@ from typing import Callable
 
 
 class Counter:
-    """Base class: a named, resettable source of one numeric value."""
+    """Base class: a named source of one numeric value."""
 
     __slots__ = ("name", "description")
 
@@ -31,9 +31,6 @@ class Counter:
         self.description = description
 
     def get_value(self) -> float:
-        raise NotImplementedError
-
-    def reset(self) -> None:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -54,9 +51,6 @@ class RawCounter(Counter):
 
     def get_value(self) -> float:
         return self.value
-
-    def reset(self) -> None:
-        self.value = 0
 
 
 class ValueCounter(Counter):
@@ -84,10 +78,6 @@ class ValueCounter(Counter):
             return self._source()
         return self._value
 
-    def reset(self) -> None:
-        if self._source is None:
-            self._value = 0.0
-
 
 class AverageCounter(Counter):
     """Running sum / sample count, reported as their quotient.
@@ -112,10 +102,6 @@ class AverageCounter(Counter):
             return 0.0
         return self.total / self.count
 
-    def reset(self) -> None:
-        self.total = 0.0
-        self.count = 0
-
 
 class DerivedCounter(Counter):
     """Computed on read from a closure over other counters."""
@@ -130,7 +116,3 @@ class DerivedCounter(Counter):
 
     def get_value(self) -> float:
         return self._fn()
-
-    def reset(self) -> None:
-        # Derived counters reset through their inputs.
-        pass

@@ -170,11 +170,6 @@ class Task:
         self.phases += 1
         return self.phases
 
-    @property
-    def func_ns(self) -> int:
-        """Per-task t_func: execution plus management time."""
-        return self.exec_ns + self.overhead_ns
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Task #{self.task_id} {self.name!r} state={self.state.value} "

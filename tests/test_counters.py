@@ -22,12 +22,6 @@ class TestRawCounter:
         c.increment(5)
         assert c.get_value() == 6
 
-    def test_reset(self):
-        c = RawCounter("/t/c")
-        c.increment(3)
-        c.reset()
-        assert c.get_value() == 0
-
 
 class TestValueCounter:
     def test_set_get(self):
@@ -47,11 +41,6 @@ class TestValueCounter:
         with pytest.raises(RuntimeError):
             c.set_value(1.0)
 
-    def test_source_backed_reset_is_noop(self):
-        c = ValueCounter("/t/v", source=lambda: 7.0)
-        c.reset()
-        assert c.get_value() == 7.0
-
 
 class TestAverageCounter:
     def test_empty_reports_zero(self):
@@ -62,13 +51,6 @@ class TestAverageCounter:
         for v in (10.0, 20.0, 30.0):
             c.add_sample(v)
         assert c.get_value() == 20.0
-
-    def test_reset(self):
-        c = AverageCounter("/t/a")
-        c.add_sample(5.0)
-        c.reset()
-        assert c.get_value() == 0.0
-        assert c.count == 0
 
 
 class TestDerivedCounter:

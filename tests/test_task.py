@@ -3,7 +3,7 @@
 import pytest
 
 from repro.runtime.task import Priority, Task, TaskState
-from repro.runtime.work import FixedWork, NoWork
+from repro.runtime.work import NoWork
 
 
 class TestConstruction:
@@ -79,12 +79,6 @@ class TestAccounting:
         assert t.begin_phase() == 1
         assert t.begin_phase() == 2
         assert t.phases == 2
-
-    def test_func_ns_is_exec_plus_overhead(self):
-        t = Task(lambda: None, work=FixedWork(10))
-        t.exec_ns = 700
-        t.overhead_ns = 300
-        assert t.func_ns == 1000
 
     def test_priorities_ordered(self):
         assert Priority.LOW < Priority.NORMAL < Priority.HIGH
