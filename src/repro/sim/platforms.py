@@ -81,8 +81,6 @@ class PlatformSpec:
     costs: CostParams = field(repr=False)
     #: core counts plotted for this platform in Fig. 3
     fig3_core_counts: tuple[int, ...] = ()
-    #: time steps used by the paper on this platform (50, or 5 on the Phi)
-    paper_time_steps: int = 50
 
 
 SANDY_BRIDGE = PlatformSpec(
@@ -177,9 +175,8 @@ XEON_PHI = PlatformSpec(
         timer_overhead_ns=120.0,
     ),
     # The paper runs 1..60 cores (one thread/core; extra threads gave no
-    # benefit) and 5 time steps.
+    # benefit) and 5 time steps (the "paper" scale's phi_time_steps).
     fig3_core_counts=(1, 2, 4, 8, 16, 32, 60),
-    paper_time_steps=5,
 )
 
 PLATFORMS: dict[str, PlatformSpec] = {

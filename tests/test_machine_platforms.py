@@ -34,7 +34,6 @@ class TestPlatformDatabase:
         assert XEON_PHI.l2_bytes == 512 * 1024
         assert XEON_PHI.shared_l3_bytes is None
         assert XEON_PHI.ram_bytes == 8 * 1024**3
-        assert XEON_PHI.paper_time_steps == 5
 
     def test_table1_sandy_bridge(self):
         assert SANDY_BRIDGE.cores == 16
